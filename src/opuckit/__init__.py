@@ -30,6 +30,7 @@ from .measures import (
     WeightPositivityError,
     bernstein_szego_weight,
     szego_functional,
+    szego_functional_series,
     szego_functional_taylor,
     szego_recursion_polynomials,
     trig_moments,
@@ -82,10 +83,12 @@ from .sum_rule import (
     HmSymbol,
     constant_part_check,
     decomposition_report,
+    decomposition_sweep,
     difference_energy,
     hm_closed_form,
     hm_fourier,
     hm_shift_symbol,
     log_tail,
+    log_tails,
     quadratic_form,
 )

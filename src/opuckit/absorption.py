@@ -98,7 +98,7 @@ def gn_ratio_probe(
         denom += 1.0
     elif denom == 0.0:
         raise ZeroDivisionError("both energies vanish; disable only with nonzero energies")
-    return num / denom
+    return float(num / denom)
 
 
 def shift_allowance(monomial: NormalFormMonomial) -> int:

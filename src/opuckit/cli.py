@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -122,13 +121,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _sumrule_row(payload) -> tuple:
-    family_dict, m, N, grid = payload
-    seq = FamilySpec.from_dict(family_dict).generate(N)
-    rep = sum_rule.decomposition_report(seq, m, N, grid=grid)
-    return (m, N, rep)
-
-
 def cmd_sumrule(args) -> int:
     family = _family_from_args(args)
     config = RunConfig(
@@ -139,19 +131,13 @@ def cmd_sumrule(args) -> int:
         seed=args.seed,
         out=args.out,
     )
-    items = [
-        (family.to_dict(), m, N, config.grid_size)
-        for m in config.m_list
-        for N in config.n_list
-    ]
     if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(_sumrule_row, items))
-    else:
-        rows = [_sumrule_row(item) for item in items]
-    rows.sort(key=lambda r: (r[0], r[1]))
+        print("note: --jobs has no effect; the sweep is one pass", file=sys.stderr)
+    # one sequence for every N: each row describes a prefix of it
+    seq = family.generate(max(config.n_list))
+    reports = sum_rule.decomposition_sweep(seq, config.m_list, config.n_list)
     lines = [VERSION_HEADER, sum_rule.DecompositionReport.CSV_HEADER]
-    lines += [rep.csv_row() for _, _, rep in rows]
+    lines += [rep.csv_row() for rep in reports]
     _emit("\n".join(lines) + "\n", args.out)
     if args.out:
         sidecar = {"family": family.to_dict(), **json.loads(config.to_json())}
@@ -198,11 +184,13 @@ def cmd_absorb(args) -> int:
     m = int(args.m)
     lines = [VERSION_HEADER, "family,m,param,N,ratio,lhs,rhs,passed"]
     label = family.label().replace(",", ";")
+    # one sequence for every N, generated as long as the largest N reads;
+    # each row probes a prefix of it
     if args.r is not None:
         r = int(args.r)
+        full = family.generate(max(n_list) + 2 * m)
         for N in n_list:
-            seq = family.generate(N + 2 * m)
-            ratio = absorption.gn_ratio_probe(seq, m, r, N)
+            ratio = absorption.gn_ratio_probe(full.truncated(N + 2 * m + 1), m, r, N)
             lines.append(f"{label},{m},r={r},{N},{ratio!r},,,")
     elif args.k is not None:
         k = int(args.k)
@@ -222,7 +210,7 @@ def cmd_absorb(args) -> int:
         fit_seq = family.generate(max(n_list) + 2 * m + 2)
         constant = absorption.fit_absorption_constant(mono, fit_seq, m, args.epsilon, n_list)
         for N in n_list:
-            seq = family.generate(N + 2 * m + 2)
+            seq = fit_seq.truncated(N + 2 * m + 3)
             probe = absorption.absorption_inequality_probe(
                 mono, seq, m, N, args.epsilon, constant
             )
@@ -299,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_args(p)
     p.add_argument("--m", default="1", help="comma separated orders")
     p.add_argument("--n-list", default="250,500,1000,2000")
-    p.add_argument("--grid", type=int, default=4096)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--grid", type=int, default=4096, help="recorded only; K_proxy is the exact series")
+    p.add_argument("--jobs", type=int, default=1, help="recorded only; the sweep is one pass")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_sumrule)
 
@@ -349,9 +337,16 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     if "--config" in argv:
-        path = argv[argv.index("--config") + 1]
-        with open(path) as fh:
-            defaults = json.load(fh)
+        at = argv.index("--config") + 1
+        if at == len(argv):
+            parser.error("argument --config: expected one argument")
+        try:
+            with open(argv[at]) as fh:
+                defaults = json.load(fh)
+        except (OSError, ValueError) as exc:
+            parser.error(f"argument --config: {exc}")
+        if not isinstance(defaults, dict):
+            parser.error("argument --config: expected a JSON object of flag defaults")
         overrides = {k.replace("-", "_"): v for k, v in defaults.items()}
         # subparsers parse into a fresh namespace, so they need the
         # overrides as well

@@ -6,10 +6,12 @@ uniform theta grid.  The weighted Szego functional
 
     K_m = integral (1 - cos theta)^m log(1/w(theta)) dtheta / (2 pi)
 
-is evaluated by composite trapezoid quadrature on that grid, which for
-smooth periodic integrands is spectrally accurate.  All Bernstein-Szego
-evaluations run in log space so that long non-square-summable prefixes
-cannot overflow the recursion.
+of a Bernstein-Szego prefix is evaluated exactly (up to rounding) by the
+Schur-ratio series of szego_functional_series.  Composite trapezoid
+quadrature on a theta grid (szego_functional) serves sampled weights and
+stays as the cross-check; it converges slowly once zeros of phi*_N come
+close to the circle.  All Bernstein-Szego grid evaluations run in log space
+so that long non-square-summable prefixes cannot overflow the recursion.
 """
 
 from __future__ import annotations
@@ -201,7 +203,8 @@ def szego_functional(
     """Trapezoid value of integral (1-cos theta)^m log(1/w) dtheta/2pi.
 
     On a uniform periodic grid the composite trapezoid rule is the plain mean
-    of the samples.
+    of the samples.  A Bernstein-Szego prefix is sampled on grid_size nodes;
+    szego_functional_series gives its exact value.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -219,47 +222,94 @@ def szego_functional(
     return SzegoFunctionalValue(m=m, value=value, grid_size=G)
 
 
-def szego_functional_taylor(prefix, m: int) -> float:
-    """Exact series evaluation of the functional for a Bernstein-Szego measure.
+def szego_functional_series(prefix, m_max: int, checkpoints) -> dict:
+    """Exact K_m at every checkpoint N and every m <= m_max, from one pass.
 
-    Pairs the Fourier expansion of (1-cos theta)^m with the Fourier expansion
-    of log(1/w), whose positive-frequency coefficients are the Taylor
-    coefficients of log phi*_N.  Only coefficients up to degree m are needed,
-    so the cost is O(N m).  Serves as the quadrature-free oracle.
+    K_m of the Bernstein-Szego truncation a_0..a_N pairs the Fourier
+    coefficients of (1-cos theta)^m with those of log(1/w): the mass
+    -sum log(1-|a_n|^2) at frequency 0 and the Taylor coefficients of
+    log phi*_{N+1} at frequencies 1..m.  Those come from the Schur form of
+    the Szego recursion, run on power series truncated at degree m_max:
+
+        b_0 = z,   b_{n+1} = z (b_n - conj a_n) / (1 - a_n b_n),
+        log phi*_{N+1} = sum_{n <= N} log(1 - a_n b_n).
+
+    b_n = z phi_n / phi*_n is a finite Blaschke product, so its Taylor
+    coefficients stay bounded by 1 and nothing grows, unlike the phi*
+    coefficients themselves.  The result is exact up to rounding and costs
+    O(N m_max^2).  A degree-k coefficient never depends on higher ones, so
+    every m below m_max is an exact truncation of the same pass.
+    Checkpoints past the end of the prefix read it as zero-extended.
+    Returns {(m, N): K_m} for m = 0..m_max and N in checkpoints.
+    """
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
+    if not isinstance(prefix, VerblunskySequence):
+        prefix = VerblunskySequence(tuple(prefix))
+    wanted = sorted({int(N) for N in checkpoints})
+    if wanted and wanted[0] < 0:
+        raise ValueError("checkpoints must be >= 0")
+    M = m_max
+    h = [[hm_coefficient(m, ell) for ell in range(m + 1)] for m in range(M + 1)]
+    b = [0j] * (M + 1)  # b_n, degrees 0..M; b_n(0) = 0 for every n
+    if M:
+        b[1] = 1 + 0j
+    t = [0j] * (M + 1)  # log phi*_n, degrees 0..M
+    mass = 0.0
+    out = {}
+
+    def record(N):
+        for m in range(M + 1):
+            value = h[m][0] * mass
+            for ell in range(1, m + 1):
+                value += 2.0 * h[m][ell] * t[ell].real
+            out[(m, N)] = value
+
+    pending = iter(wanted)
+    nxt = next(pending, None)
+    for n, a in enumerate(prefix.values):
+        if nxt is None:
+            break
+        mass -= math.log1p(-(a.real * a.real + a.imag * a.imag))
+        # d = 1 - a b_n has constant term 1, so neither its log nor the
+        # division by it needs a reciprocal
+        d = [1 + 0j] + [-a * c for c in b[1:]]
+        lg = [0j] * (M + 1)
+        for k in range(1, M + 1):
+            acc = d[k]
+            for j in range(1, k):
+                acc -= (j / k) * lg[j] * d[k - j]
+            lg[k] = acc
+            t[k] += acc
+        # q = (b_n - conj a_n) / d to degree M - 1, then b_{n+1} = z q
+        q = ([-a.conjugate()] + b[1:M])[:M]
+        for k in range(1, M):
+            acc = q[k]
+            for j in range(1, k + 1):
+                acc -= d[j] * q[k - j]
+            q[k] = acc
+        b = [0j] + q
+        if nxt == n:
+            record(n)
+            nxt = next(pending, None)
+    while nxt is not None:
+        record(nxt)
+        nxt = next(pending, None)
+    return out
+
+
+def szego_functional_taylor(prefix, m: int) -> float:
+    """Exact value of the functional for a Bernstein-Szego measure.
+
+    The whole prefix is one checkpoint of szego_functional_series; the
+    quadrature-free oracle for szego_functional.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if not isinstance(prefix, VerblunskySequence):
         prefix = VerblunskySequence(tuple(prefix))
-    mods2 = np.abs(np.asarray(prefix.values, dtype=np.complex128)) ** 2
-    g0 = -float(np.sum(np.log1p(-mods2)))
-
-    # phi and phi* coefficient windows, degrees 0..m (truncation is exact:
-    # the recursion never moves high coefficients downward)
-    ph = np.zeros(m + 1, dtype=np.complex128)
-    ps = np.zeros(m + 1, dtype=np.complex128)
-    ph[0] = 1.0
-    ps[0] = 1.0
-    shifted = np.zeros(m + 1, dtype=np.complex128)
-    for a in prefix.values:
-        shifted[0] = 0.0
-        shifted[1:] = ph[:-1]
-        ph = shifted - a.conjugate() * ps
-        ps = ps - a * shifted
-        shifted = np.zeros(m + 1, dtype=np.complex128)
-
-    # t = log(ps) as a power series: l*p_l = sum_j j t_j p_{l-j}
-    t = np.zeros(m + 1, dtype=np.complex128)
-    for ell in range(1, m + 1):
-        acc = ps[ell]
-        for j in range(1, ell):
-            acc -= (j / ell) * t[j] * ps[ell - j]
-        t[ell] = acc
-
-    value = hm_coefficient(m, 0) * g0
-    for ell in range(1, m + 1):
-        value += 2.0 * hm_coefficient(m, ell) * t[ell].real
-    return float(value)
+    N = max(len(prefix) - 1, 0)
+    return szego_functional_series(prefix, m, [N])[(m, N)]
 
 
 def hm_coefficient(m: int, ell: int) -> float:

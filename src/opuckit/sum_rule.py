@@ -7,8 +7,9 @@ pointwise logarithmic tail, and the assembled per-(m, N) report
     residual = K_proxy - Q - tail,
 
 where K_proxy is the weighted log functional of the Bernstein-Szego
-truncation, Q is the difference energy 2^-m sum |Delta^m a_n|^2 and tail is
-the summed logarithmic tail.  The residual deliberately conflates the
+truncation (the exact series by default, trapezoid quadrature as the
+cross-check), Q is the difference energy 2^-m sum |Delta^m a_n|^2 and tail
+is the summed logarithmic tail.  The residual deliberately conflates the
 remaining critical contributions, boundary terms and the proxy error; none
 of those is separately constructible at this scale, so reports label it an
 unresolved remainder and trend checks quantify its boundedness.
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .measures import MeasureSpec, szego_functional, szego_functional_taylor
+from .measures import DEFAULT_GRID, MeasureSpec, szego_functional, szego_functional_series
 from .sequences import VerblunskySequence, difference_array, lukic_partial_sums
 from .shift_algebra import ShiftPolynomial
 
@@ -134,36 +135,55 @@ def difference_energy(seq, m: int, N: int) -> float:
     return float(np.sum(np.abs(diffs) ** 2)) / 2.0**m
 
 
-def log_tail(alpha, m: int) -> float:
-    """log(1/(1-|a|^2)) minus its first m Taylor terms; equals sum_{j>m} |a|^{2j}/j.
+def log_tails(alphas, m: int) -> np.ndarray:
+    """log(1/(1-|a|^2)) minus its first m Taylor terms, for every entry a.
 
-    Small |a| would lose the tail to cancellation in the direct formula, so
-    below x = |a|^2 = 1/2 the tail series is summed directly; above, the
-    closed form is accurate.  Always >= |a|^{2m+2}/(m+1).
+    Each entry equals sum_{j>m} |a|^{2j}/j.  Small |a| would lose the tail to
+    cancellation in the direct formula, so below x = |a|^2 = 1/2 the tail
+    series is summed directly, per entry until its next term falls below
+    1e-18 of the sum; above, the closed form is accurate.  Always
+    >= |a|^{2m+2}/(m+1).  Vectorised across entries; the powers and log1p
+    stay scalar libm calls, so each entry is the same float as log_tail.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    x = abs(alpha) ** 2
-    if x >= 1.0:
-        raise ValueError(f"|alpha| = {abs(alpha)} is not < 1")
-    if x == 0.0:
-        return 0.0
-    if x <= 0.5:
-        term = x ** (m + 1)
-        j = m + 1
-        total = 0.0
-        while True:
-            total += term / j
-            term *= x
-            j += 1
-            if term / j <= 1e-18 * total:
-                return total
-    partial = 0.0
-    p = 1.0
+    alphas = np.asarray(alphas, dtype=np.complex128).tolist()
+    x = np.array([abs(a) ** 2 for a in alphas], dtype=np.float64)
+    over = np.flatnonzero(x >= 1.0)
+    if over.size:
+        raise ValueError(f"|alpha| = {abs(alphas[over[0]])} is not < 1")
+    out = np.zeros(len(x))
+
+    small = (x > 0.0) & (x <= 0.5)
+    xs = x[small]
+    term = np.array([v ** (m + 1) for v in xs.tolist()], dtype=np.float64)
+    total = np.zeros(len(xs))
+    live = np.ones(len(xs), dtype=bool)
+    j = m + 1
+    while live.any():
+        total = np.where(live, total + term / j, total)
+        term = np.where(live, term * xs, term)
+        j += 1
+        live &= ~(term / j <= 1e-18 * total)
+    out[small] = total
+
+    large = x > 0.5
+    xl = x[large]
+    partial = np.zeros(len(xl))
+    p = np.ones(len(xl))
     for k in range(1, m + 1):
-        p *= x
-        partial += p / k
-    return -math.log1p(-x) - partial
+        p = p * xl
+        partial = partial + p / k
+    out[large] = np.array([-math.log1p(-v) for v in xl.tolist()]) - partial
+    return out
+
+
+def log_tail(alpha, m: int) -> float:
+    """log(1/(1-|a|^2)) minus its first m Taylor terms; equals sum_{j>m} |a|^{2j}/j.
+
+    The one-entry case of log_tails.
+    """
+    return float(log_tails([alpha], m)[0])
 
 
 def constant_part_check(m: int) -> list[Fraction]:
@@ -199,39 +219,83 @@ class DecompositionReport:
         )
 
 
+METHODS = ("series", "quadrature")
+
+
+def decomposition_sweep(
+    seq,
+    m_list,
+    n_list,
+    method: str = "series",
+    grid: int = DEFAULT_GRID,
+) -> list[DecompositionReport]:
+    """Decomposition rows for every (m, N) of m_list x n_list, sorted by (m, N).
+
+    Every row refers to the Bernstein-Szego truncation a_0..a_N of the same
+    sequence.  method="series" takes every K_proxy from one exact
+    szego_functional_series pass to max(n_list); method="quadrature" is the
+    trapezoid cross-check, szego_functional on `grid` nodes for each (m, N).
+    `grid` applies only to "quadrature".  The tail is a cumulative sum of
+    per-entry tails; Q and the power energy come from lukic_partial_sums at
+    each N.
+    """
+    m_list = sorted(int(m) for m in m_list)
+    n_list = sorted(int(N) for N in n_list)
+    if not m_list or not n_list:
+        return []
+    if m_list[0] < 1:
+        raise ValueError("m must be >= 1")
+    if n_list[0] < 0:
+        raise ValueError("N must be >= 0")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if not isinstance(seq, VerblunskySequence):
+        seq = VerblunskySequence(tuple(seq))
+    n_max = n_list[-1]
+    values = seq.values[: n_max + 1]
+    if method == "series":
+        K = szego_functional_series(seq, m_list[-1], n_list)
+    else:
+        K = {
+            (m, N): szego_functional(MeasureSpec.bernstein_szego(seq.truncated(N + 1)), m, grid).value
+            for m in m_list
+            for N in n_list
+        }
+    padded = seq.as_array(0, n_max + 1)
+    rows = []
+    for m in m_list:
+        tails = np.cumsum(log_tails(padded, m))
+        for N in n_list:
+            energy = lukic_partial_sums(values[: N + 1], m, N)
+            Q = energy.diff_energy / 2.0**m
+            tail = float(tails[N])
+            rows.append(
+                DecompositionReport(
+                    m=m,
+                    N=N,
+                    K_proxy=K[(m, N)],
+                    Q=Q,
+                    tail=tail,
+                    power_energy=energy.power_energy,
+                    residual=K[(m, N)] - Q - tail,
+                )
+            )
+    return rows
+
+
 def decomposition_report(
     seq,
     m: int,
     N: int,
-    grid: int = 4096,
-    method: str = "quadrature",
+    grid: int = DEFAULT_GRID,
+    method: str = "series",
 ) -> DecompositionReport:
     """Assemble K_proxy, Q, tail, power energy and residual for one (m, N).
 
-    The sequence is truncated to length N+1 first, so every column refers to
-    the same Bernstein-Szego truncation.  method="taylor" swaps the
-    quadrature evaluation of K_proxy for the exact series pairing (oracle).
+    The one-row case of decomposition_sweep.  K_proxy is the exact series
+    by default; `grid` applies only to method="quadrature".  method="taylor"
+    is the earlier name of "series".
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not isinstance(seq, VerblunskySequence):
-        seq = VerblunskySequence(tuple(seq))
-    trunc = seq.truncated(N + 1)
-    if method == "quadrature":
-        K = szego_functional(MeasureSpec.bernstein_szego(trunc), m, grid).value
-    elif method == "taylor":
-        K = szego_functional_taylor(trunc, m)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    report = lukic_partial_sums(trunc, m, N)
-    Q = report.diff_energy / 2.0**m
-    tail = sum(log_tail(trunc.at(n), m) for n in range(N + 1))
-    return DecompositionReport(
-        m=m,
-        N=N,
-        K_proxy=K,
-        Q=Q,
-        tail=tail,
-        power_energy=report.power_energy,
-        residual=K - Q - tail,
-    )
+    if method == "taylor":
+        method = "series"
+    return decomposition_sweep(seq, [m], [N], method=method, grid=grid)[0]

@@ -3,9 +3,17 @@ import math
 
 import pytest
 
+from opuckit.absorption import absorption_inequality_probe, fit_absorption_constant, gn_ratio_probe
 from opuckit.cli import classify_k_trend, main
 from opuckit.families import FamilySpec
+from opuckit.normal_form import NormalFormMonomial
 from opuckit.sequences import ModulusError, VerblunskySequence
+from opuckit.sum_rule import decomposition_report
+
+
+def csv_rows(path):
+    """Data rows of a CLI CSV, past the version header and the column header."""
+    return [line.split(",") for line in path.read_text().splitlines()[2:]]
 
 
 class TestFamilies:
@@ -349,3 +357,99 @@ class TestCliCommands:
         val = json.loads(capsys.readouterr().out)
         assert val["grid"] == 2048
         assert val["value"] == pytest.approx(-math.log(0.75), abs=1e-8)
+
+
+class TestSweepsFollowOneSequence:
+    RANDOM = ["--family", "random", "--seed", "5", "--cap", "0.6"]
+
+    def test_sumrule_m_list_rows_equal_single_m_runs(self, tmp_path):
+        base = ["sumrule", "report", "--family", "power", "--c", "0.9", "--gamma", "0.1",
+                "--n-list", "200,50,400"]
+        joint = tmp_path / "joint.csv"
+        assert main(base + ["--m", "1,2,3", "--out", str(joint)]) == 0
+        single = []
+        for m in (1, 2, 3):
+            out = tmp_path / f"m{m}.csv"
+            assert main(base + ["--m", str(m), "--out", str(out)]) == 0
+            single += out.read_bytes().splitlines()[2:]
+        assert joint.read_bytes().splitlines()[2:] == single
+
+    def test_sumrule_random_rows_are_prefixes_of_one_sequence(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        args = ["sumrule", "report", *self.RANDOM, "--m", "1,2", "--n-list", "30,60,120"]
+        assert main(args + ["--out", str(out)]) == 0
+        seq = FamilySpec(kind="random", seed=5, modulus_cap=0.6).generate(120)
+        rows = csv_rows(out)
+        assert len(rows) == 6
+        for row in rows:
+            rep = decomposition_report(seq, int(row[0]), int(row[1]))
+            assert row == rep.csv_row().split(",")
+
+    def test_sumrule_sidecar_and_jobs_note(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        args = ["sumrule", "report", "--family", "power", "--c", "0.7", "--gamma", "0.4",
+                "--m", "2", "--n-list", "40", "--grid", "512", "--jobs", "2"]
+        assert main(args + ["--out", str(out)]) == 0
+        seq = FamilySpec(kind="power", c=0.7 + 0j, gamma=0.4).generate(40)
+        assert csv_rows(out) == [decomposition_report(seq, 2, 40).csv_row().split(",")]
+        sidecar = json.loads((tmp_path / "rows.csv.config.json").read_text())
+        assert sidecar["grid_size"] == 512 and sidecar["jobs"] == 2
+        assert capsys.readouterr().err == "note: --jobs has no effect; the sweep is one pass\n"
+
+    def test_absorb_ratio_column_parses_as_floats(self, tmp_path):
+        out = tmp_path / "ratio.csv"
+        args = ["absorb", "probe", "--family", "power", "--c", "0.8", "--gamma", "0.3",
+                "--m", "3", "--r", "2", "--n-list", "50,100"]
+        assert main(args + ["--out", str(out)]) == 0
+        seq = FamilySpec(kind="power", c=0.8 + 0j, gamma=0.3).generate(106)
+        for row in csv_rows(out):
+            N = int(row[3])
+            assert float(row[4]) == gn_ratio_probe(seq, 3, 2, N)
+
+    def test_absorb_random_ratio_rows_are_prefixes_of_one_sequence(self, tmp_path):
+        out = tmp_path / "ratio.csv"
+        args = ["absorb", "probe", *self.RANDOM, "--m", "3", "--r", "1", "--n-list", "40,80"]
+        assert main(args + ["--out", str(out)]) == 0
+        full = FamilySpec(kind="random", seed=5, modulus_cap=0.6).generate(80 + 2 * 3)
+        rows = csv_rows(out)
+        assert [int(row[3]) for row in rows] == [40, 80]
+        for row in rows:
+            N = int(row[3])
+            assert float(row[4]) == gn_ratio_probe(full.truncated(N + 2 * 3 + 1), 3, 1, N)
+
+    def test_absorb_random_monomial_rows_are_prefixes_of_one_sequence(self, tmp_path):
+        out = tmp_path / "absorb.csv"
+        args = ["absorb", "probe", *self.RANDOM, "--m", "2", "--k", "2", "--epsilon", "0.1",
+                "--n-list", "40,80"]
+        assert main(args + ["--out", str(out)]) == 0
+        full = FamilySpec(kind="random", seed=5, modulus_cap=0.6).generate(80 + 2 * 2 + 2)
+        # the monomial the CLI builds for m = 2, k = 2: one first difference
+        mono = NormalFormMonomial(2, ((1, 0), (0, 0)), ((0, 0), (0, 0)), 1.0)
+        constant = fit_absorption_constant(mono, full, 2, 0.1, [40, 80])
+        rows = csv_rows(out)
+        assert [int(row[3]) for row in rows] == [40, 80]
+        for row in rows:
+            N = int(row[3])
+            probe = absorption_inequality_probe(
+                mono, full.truncated(N + 2 * 2 + 3), 2, N, 0.1, constant
+            )
+            assert row[5:] == [repr(probe.lhs), repr(probe.rhs), str(probe.passed)]
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--config"],
+            ["--config", "/nonexistent/opuckit-config.json", "verify"],
+        ],
+        ids=["missing-value", "missing-file"],
+    )
+    def test_exit_2_with_one_error_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert "Traceback" not in err and len(errors) == 1
+        assert errors[0].startswith("opuckit: error: argument --config")

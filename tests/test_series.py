@@ -1,0 +1,151 @@
+"""The exact Schur-ratio series for K_m against a 40-digit reference.
+
+Needs mpmath and Hypothesis (the `test` extra); the rest of the suite does not.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from opuckit.families import FamilySpec
+from opuckit.measures import (
+    MeasureSpec,
+    szego_functional,
+    szego_functional_series,
+    szego_functional_taylor,
+)
+from opuckit.sequences import VerblunskySequence
+
+
+def mp_functional(values, m_max, checkpoints, dps=40):
+    """K_m at each checkpoint from the phi/phi* coefficient recursion at dps digits.
+
+    A route apart from the Schur-ratio series: the phi* coefficients grow
+    (to ~1e13 at gamma = 0.02), which 40 digits absorb, then log phi* is
+    taken as a power series and paired with the Fourier data of
+    (1-cos theta)^m.  Returns {(m, N): mpf} for m = 0..m_max.
+    """
+    M = m_max
+    wanted = set(checkpoints)
+    out = {}
+    with mpmath.workdps(dps):
+        zero = mpmath.mpc(0)
+        ph = [mpmath.mpc(1)] + [zero] * M
+        ps = list(ph)
+        mass = mpmath.mpf(0)
+        for n, a in enumerate(values):
+            a = mpmath.mpc(a.real, a.imag)
+            shifted = [zero] + ph[:-1]
+            ph = [shifted[i] - mpmath.conj(a) * ps[i] for i in range(M + 1)]
+            ps = [ps[i] - a * shifted[i] for i in range(M + 1)]
+            mass -= mpmath.log1p(-abs(a) ** 2)
+            if n not in wanted:
+                continue
+            t = [zero] * (M + 1)
+            for ell in range(1, M + 1):
+                t[ell] = ps[ell] - mpmath.fsum(
+                    mpmath.mpf(j) / ell * t[j] * ps[ell - j] for j in range(1, ell)
+                )
+            for m in range(M + 1):
+                h = [mpmath.mpf((-1) ** l * math.comb(2 * m, m + l)) / 2**m for l in range(m + 1)]
+                out[(m, n)] = h[0] * mass + mpmath.fsum(2 * h[l] * t[l].real for l in range(1, m + 1))
+    return out
+
+
+def phi_zero_radius(prefix):
+    """Largest modulus of a zero of the monic phi_N (0 if none).
+
+    The zeros of phi*_N are their reflections 1/conj(z), so they lie on or
+    outside 1/radius; the monic phi_N needs no division by a small leading
+    coefficient to find them.
+    """
+    phi = np.array([1 + 0j])
+    phistar = np.array([1 + 0j])
+    for a in prefix:
+        zphi = np.append(0, phi)
+        phi, phistar = (
+            zphi - np.conj(a) * np.append(phistar, 0),
+            np.append(phistar, 0) - a * zphi,
+        )
+    return max(abs(np.roots(phi[::-1])), default=0.0)
+
+
+@st.composite
+def capped_prefixes(draw, max_len=12, max_cap=0.5):
+    cap = draw(st.floats(0.0, max_cap))
+    n = draw(st.integers(0, max_len))
+    radii = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    angles = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n))
+    return [cap * r * complex(math.cos(t), math.sin(t)) for r, t in zip(radii, angles)]
+
+
+class TestSeriesFunctional:
+    @pytest.mark.parametrize(
+        "family, checkpoints",
+        [
+            (FamilySpec(kind="power", c=0.9, gamma=0.02), (0, 10, 250, 1000, 4000)),
+            (FamilySpec(kind="power", c=0.9, gamma=0.1), (0, 10, 250, 1000, 4000)),
+            (FamilySpec(kind="power", c=0.9, gamma=0.5), (0, 10, 250, 1000, 4000)),
+            (FamilySpec(kind="rotated", c=0.7, gamma=0.3, beta=1.0), (3, 500)),
+        ],
+        ids=["power-0.02", "power-0.1", "power-0.5", "rotated"],
+    )
+    def test_matches_40_digit_reference(self, family, checkpoints):
+        values = family.generate(max(checkpoints)).values
+        got = szego_functional_series(values, 8, checkpoints)
+        ref = mp_functional(values, 8, checkpoints)
+        assert set(got) == set(ref)
+        for key, want in ref.items():
+            assert abs(got[key] - float(want)) <= 1e-10 * abs(float(want)), key
+
+    def test_lower_m_is_an_exact_truncation(self):
+        values = FamilySpec(kind="rotated", c=0.8, gamma=0.2, beta=0.7).generate(600).values
+        full = szego_functional_series(values, 8, (100, 600))
+        for m_max in range(8):
+            part = szego_functional_series(values, m_max, (100, 600))
+            assert part == {k: v for k, v in full.items() if k[0] <= m_max}
+
+    def test_checkpoints_past_the_prefix_zero_extend(self):
+        prefix = (0.4, 0.2 - 0.3j, -0.1j)
+        got = szego_functional_series(prefix, 3, (2, 9))
+        padded = szego_functional_series(prefix + (0j,) * 7, 3, (9,))
+        for m in range(4):
+            assert got[(m, 9)] == got[(m, 2)] == padded[(m, 9)]
+
+    def test_taylor_is_the_whole_prefix_checkpoint(self):
+        prefix = VerblunskySequence((0.4, 0.2 - 0.3j, -0.1j, 0.25, 0.6))
+        series = szego_functional_series(prefix, 4, (4,))
+        for m in range(5):
+            assert szego_functional_taylor(prefix, m) == series[(m, 4)]
+        assert szego_functional_taylor([], 2) == 0.0
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            szego_functional_series([0.1], -1, (0,))
+        with pytest.raises(ValueError):
+            szego_functional_series([0.1], 2, (-1,))
+
+    @settings(derandomize=True, max_examples=50, deadline=None, database=None)
+    @given(prefix=capped_prefixes())
+    def test_series_equals_reference_and_resolved_quadrature(self, prefix):
+        # Zeros of phi*_N can come within 1e-4 of the circle even here (12
+        # entries of modulus 0.5 with spread phases), and then the trapezoid
+        # rule at 4096 nodes misses by more than 1e-2.  Its error decays like
+        # rho^-G for the smallest zero modulus rho of phi*_N, so quadrature
+        # is held to the series only where rho >= 1.01 (rho^-4096 < 1e-17);
+        # the series is held to the 40-digit reference everywhere.
+        N = max(len(prefix) - 1, 0)
+        series = szego_functional_series(prefix, 8, (N,))
+        ref = mp_functional([complex(a) for a in prefix] or [0j], 8, (N,))
+        measure = MeasureSpec.bernstein_szego(prefix)
+        quad = [szego_functional(measure, m, 4096).value for m in range(9)]
+        resolved = phi_zero_radius(prefix) * 1.01 <= 1.0
+        for m in range(9):
+            want = float(ref[(m, N)])
+            assert abs(series[(m, N)] - want) <= 1e-12 * max(1.0, abs(want))
+            if resolved:
+                assert abs(series[(m, N)] - quad[m]) <= 1e-10

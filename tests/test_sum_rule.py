@@ -5,18 +5,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from opuckit.measures import MeasureSpec, szego_functional, theta_grid
-from opuckit.sequences import VerblunskySequence
+from opuckit.families import FamilySpec
+from opuckit.measures import MeasureSpec, szego_functional, szego_functional_series, theta_grid
+from opuckit.sequences import VerblunskySequence, lukic_partial_sums
 from opuckit.sum_rule import (
     DecompositionReport,
     HmSymbol,
     constant_part_check,
     decomposition_report,
+    decomposition_sweep,
     difference_energy,
     hm_closed_form,
     hm_fourier,
     hm_shift_symbol,
     log_tail,
+    log_tails,
     quadratic_form,
     _quadratic_form_complex,
 )
@@ -152,6 +155,54 @@ class TestLogTail:
         assert log_tail(0.3 + 0.4j, 2) == pytest.approx(log_tail(0.5, 2), rel=1e-13)
 
 
+def log_tail_loop(alpha, m):
+    """The entry-by-entry tail formula that log_tails vectorises."""
+    x = abs(alpha) ** 2
+    if x == 0.0:
+        return 0.0
+    if x <= 0.5:
+        term = x ** (m + 1)
+        j = m + 1
+        total = 0.0
+        while True:
+            total += term / j
+            term *= x
+            j += 1
+            if term / j <= 1e-18 * total:
+                return total
+    partial = 0.0
+    p = 1.0
+    for k in range(1, m + 1):
+        p *= x
+        partial += p / k
+    return -math.log1p(-x) - partial
+
+
+class TestLogTails:
+    def test_equals_the_loop_formula_entry_by_entry(self):
+        rng = np.random.default_rng(305)
+        mods = np.concatenate(
+            [
+                [0.0, 1e-200, 1e-8, 0.3, math.sqrt(0.5), np.nextafter(math.sqrt(0.5), 1), 0.999999],
+                rng.uniform(0.0, 1.0, 400),
+            ]
+        )
+        alphas = np.concatenate(
+            [mods * np.exp(1j * rng.uniform(0.0, 2 * np.pi, len(mods))), [math.sqrt(0.5), -0.7]]
+        )
+        for m in range(1, 9):
+            got = log_tails(alphas, m)
+            want = [log_tail_loop(complex(a), m) for a in alphas]
+            assert got.tolist() == want
+
+    def test_empty_and_rejects(self):
+        assert log_tails([], 2).shape == (0,)
+        with pytest.raises(ValueError):
+            log_tails([0.1, 1.0], 2)
+        with pytest.raises(ValueError):
+            log_tails([0.1], 0)
+
+
 class TestConstantPart:
     def test_values(self):
         assert constant_part_check(1) == [Fraction(-1)]
@@ -213,6 +264,20 @@ class TestDecompositionReport:
         assert a.K_proxy == pytest.approx(b.K_proxy, abs=1e-9)
         assert a.residual == pytest.approx(b.residual, abs=1e-9)
 
+    def test_quadrature_method_agrees_with_the_series(self):
+        # test_taylor_method_agrees takes the series default on both sides;
+        # here the quadrature side is named
+        seq = VerblunskySequence(tuple(0.4 / (n + 1) ** 0.7 for n in range(80)))
+        a = decomposition_report(seq, 2, 79, grid=8192, method="quadrature")
+        b = decomposition_report(seq, 2, 79, method="series")
+        assert a.K_proxy == pytest.approx(b.K_proxy, abs=1e-9)
+        assert a.residual == pytest.approx(b.residual, abs=1e-9)
+
+    def test_default_is_the_exact_series(self):
+        seq = VerblunskySequence(tuple(0.6 / (n + 1) ** 0.3 for n in range(120)))
+        rep = decomposition_report(seq, 3, 100)
+        assert rep.K_proxy == szego_functional_series(seq, 3, (100,))[(3, 100)]
+
     def test_csv_row(self):
         rep = DecompositionReport(1, 10, 0.5, 0.25, 0.1, 0.05, 0.15)
         assert rep.csv_row() == "1,10,0.5,0.25,0.1,0.05,0.15"
@@ -225,3 +290,44 @@ class TestDecompositionReport:
             "power_energy",
             "residual",
         ]
+
+
+class TestDecompositionSweep:
+    def test_quadrature_rows_equal_the_per_row_formulas(self):
+        # K by szego_functional on each truncation, Q and the power energy by
+        # lukic_partial_sums on it, tail by summing the loop formula
+        seq = FamilySpec(kind="rotated", c=0.8, gamma=0.3, beta=1.3).generate(90)
+        rows = decomposition_sweep(seq, [3, 1], [90, 7, 40], method="quadrature", grid=512)
+        assert [(r.m, r.N) for r in rows] == [(1, 7), (1, 40), (1, 90), (3, 7), (3, 40), (3, 90)]
+        for r in rows:
+            trunc = seq.truncated(r.N + 1)
+            K = szego_functional(MeasureSpec.bernstein_szego(trunc), r.m, 512).value
+            energy = lukic_partial_sums(trunc, r.m, r.N)
+            tail = sum(log_tail_loop(trunc.at(n), r.m) for n in range(r.N + 1))
+            Q = energy.diff_energy / 2.0**r.m
+            assert r == DecompositionReport(r.m, r.N, K, Q, tail, energy.power_energy, K - Q - tail)
+
+    def test_series_and_quadrature_agree_where_resolved(self):
+        seq = FamilySpec(kind="power", c=0.5, gamma=0.8).generate(200)
+        exact = decomposition_sweep(seq, [1, 2, 3], [50, 200])
+        quad = decomposition_sweep(seq, [1, 2, 3], [50, 200], method="quadrature", grid=4096)
+        for a, b in zip(exact, quad):
+            assert (a.m, a.N, a.Q, a.tail, a.power_energy) == (b.m, b.N, b.Q, b.tail, b.power_energy)
+            assert a.K_proxy == pytest.approx(b.K_proxy, abs=1e-10)
+
+    def test_rows_past_the_sequence_zero_extend(self):
+        seq = VerblunskySequence((0.5, -0.2j, 0.1))
+        for method in ("series", "quadrature"):
+            short, past = decomposition_sweep(seq, [2], [2, 9], method=method, grid=256)
+            assert past.K_proxy == short.K_proxy and past.tail == short.tail
+            assert past.power_energy == short.power_energy
+
+    def test_rejects_bad_arguments(self):
+        seq = VerblunskySequence((0.5,))
+        with pytest.raises(ValueError):
+            decomposition_sweep(seq, [0, 1], [3])
+        with pytest.raises(ValueError):
+            decomposition_sweep(seq, [1], [-1])
+        with pytest.raises(ValueError):
+            decomposition_sweep(seq, [1], [3], method="simpson")
+        assert decomposition_sweep(seq, [], [3]) == []
