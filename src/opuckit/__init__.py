@@ -11,8 +11,9 @@ the sweep CLI (cli).
 """
 
 __version__ = "0.1.0"
+# the numpy kernel is the only one; perfbench/run.py records this in its provenance
+KERNEL_BACKEND = "python"
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .absorption import (
     GNExponent,
     HolderBudget,

@@ -1,4 +1,4 @@
-"""Pure-numpy backend for the transfer-recursion kernel.
+"""The transfer-recursion kernel, in numpy.
 
 Runs the Szego recursion phi' = z*phi - conj(a)*phi*, phi*' = phi* - a*z*phi
 across the whole prefix simultaneously for every grid node, renormalizing

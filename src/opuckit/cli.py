@@ -32,7 +32,6 @@ class RunConfig:
     grid_size: int = 4096
     m_list: tuple = (1,)
     n_list: tuple = (250, 500, 1000, 2000)
-    jobs: int = 1
     seed: int = 0
     out: str | None = None
     bounded_ratio: float = 1.2  # trend threshold: max/min of last three
@@ -127,12 +126,9 @@ def cmd_sumrule(args) -> int:
         grid_size=args.grid,
         m_list=_parse_int_list(args.m),
         n_list=_parse_int_list(args.n_list),
-        jobs=args.jobs,
         seed=args.seed,
         out=args.out,
     )
-    if config.jobs > 1:
-        print("note: --jobs has no effect; the sweep is one pass", file=sys.stderr)
     # one sequence for every N: each row describes a prefix of it
     seq = family.generate(max(config.n_list))
     reports = sum_rule.decomposition_sweep(seq, config.m_list, config.n_list)
@@ -288,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", default="1", help="comma separated orders")
     p.add_argument("--n-list", default="250,500,1000,2000")
     p.add_argument("--grid", type=int, default=4096, help="recorded only; K_proxy is the exact series")
-    p.add_argument("--jobs", type=int, default=1, help="recorded only; the sweep is one pass")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_sumrule)
 
@@ -347,6 +342,11 @@ def main(argv=None) -> int:
             parser.error(f"argument --config: {exc}")
         if not isinstance(defaults, dict):
             parser.error("argument --config: expected a JSON object of flag defaults")
+        # a key may belong to any subcommand, but must name some flag
+        flags = {a.dest for p in [parser] + parser._all_subparsers for a in p._actions}
+        for key in defaults:
+            if key.replace("-", "_") not in flags:
+                parser.error(f"argument --config: unknown key {key!r}")
         overrides = {k.replace("-", "_"): v for k, v in defaults.items()}
         # subparsers parse into a fresh namespace, so they need the
         # overrides as well

@@ -17,7 +17,9 @@ class FamilySpec:
 
     power:    a_n = c / (n+1)^gamma
     rotated:  a_n = c e^{i beta n} / (n+1)^gamma
-    random:   i.i.d. uniform on the disc of radius modulus_cap (seeded PCG64)
+    random:   i.i.d. uniform on the disc of radius modulus_cap (seeded PCG64),
+              one (radius, angle) draw per index, so generate(N) is a
+              prefix of generate(M) for M > N
     constant: a_n = c
     explicit: a fixed list
     """
@@ -33,6 +35,9 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
+        # equal specs must generate equal floats: real / float and
+        # complex / float divisions differ in the last bit
+        object.__setattr__(self, "c", complex(self.c))
 
     def label(self) -> str:
         if self.kind == "power":
@@ -56,9 +61,9 @@ class FamilySpec:
             vals = self.c * np.exp(1j * self.beta * n) / (n + 1.0) ** self.gamma
         elif self.kind == "random":
             rng = np.random.default_rng(self.seed)
-            radii = self.modulus_cap * np.sqrt(rng.uniform(size=N + 1))
-            angles = rng.uniform(0.0, 2.0 * np.pi, size=N + 1)
-            vals = radii * np.exp(1j * angles)
+            draws = rng.uniform(size=(N + 1, 2))
+            radii = self.modulus_cap * np.sqrt(draws[:, 0])
+            vals = radii * np.exp(2j * np.pi * draws[:, 1])
         elif self.kind == "constant":
             vals = np.full(N + 1, complex(self.c))
         else:

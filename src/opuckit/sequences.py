@@ -65,12 +65,7 @@ class VerblunskySequence:
         """Zero-extended complex array of entries start..stop-1."""
         if stop is None:
             stop = len(self.values)
-        out = np.zeros(stop - start, dtype=np.complex128)
-        lo = max(start, 0)
-        hi = min(stop, len(self.values))
-        if hi > lo:
-            out[lo - start : hi - start] = self.values[lo:hi]
-        return out
+        return zero_extended(self, start, stop)
 
     # JSON wire format: array of [re, im] pairs.
 
@@ -97,6 +92,20 @@ class EnergyReport:
         return f"{self.m},{self.N},{self.diff_energy!r},{self.power_energy!r}"
 
 
+def zero_extended(seq, start: int, stop: int) -> np.ndarray:
+    """Complex array of entries start..stop-1, 0 outside the stored prefix.
+
+    Accepts a VerblunskySequence or any plain sequence, as entry() does.
+    """
+    values = seq.values if isinstance(seq, VerblunskySequence) else seq
+    out = np.zeros(stop - start, dtype=np.complex128)
+    lo = max(start, 0)
+    hi = min(stop, len(values))
+    if hi > lo:
+        out[lo - start : hi - start] = np.asarray(values[lo:hi], dtype=np.complex128)
+    return out
+
+
 def forward_difference(seq, m: int, n: int):
     """m-th forward difference at index n via the binomial expansion.
 
@@ -119,12 +128,7 @@ def forward_difference(seq, m: int, n: int):
 
 def difference_array(seq, m: int, N: int) -> np.ndarray:
     """Vector of Delta^m alpha_n for n = 0..N (binomial form, vectorized)."""
-    if isinstance(seq, VerblunskySequence):
-        arr = seq.as_array(0, N + m + 1)
-    else:
-        arr = np.zeros(N + m + 1, dtype=np.complex128)
-        take = min(len(seq), N + m + 1)
-        arr[:take] = np.asarray(seq[:take], dtype=np.complex128)
+    arr = zero_extended(seq, 0, N + m + 1)
     out = np.zeros(N + 1, dtype=np.complex128)
     for j in range(m + 1):
         c = math.comb(m, j)
@@ -140,12 +144,7 @@ def lukic_partial_sums(seq, m: int, N: int) -> EnergyReport:
         raise ValueError("order m must be >= 1")
     diffs = difference_array(seq, m, N)
     diff_energy = float(np.sum(np.abs(diffs) ** 2))
-    if isinstance(seq, VerblunskySequence):
-        arr = seq.as_array(0, N + 1)
-    else:
-        arr = np.zeros(N + 1, dtype=np.complex128)
-        take = min(len(seq), N + 1)
-        arr[:take] = np.asarray(seq[:take], dtype=np.complex128)
+    arr = zero_extended(seq, 0, N + 1)
     power_energy = float(np.sum(np.abs(arr) ** (2 * m + 2)))
     return EnergyReport(m=m, N=N, diff_energy=diff_energy, power_energy=power_energy)
 

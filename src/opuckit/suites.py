@@ -421,21 +421,6 @@ def _absorb_checks() -> list[Check]:
 def _kernel_checks() -> list[Check]:
     checks: list[Check] = []
 
-    def parity():
-        from ._kernels import _ref
-
-        rng = np.random.default_rng(99)
-        alphas = 0.7 * np.sqrt(rng.uniform(size=40)) * np.exp(
-            2j * np.pi * rng.uniform(size=40)
-        )
-        z = np.exp(1j * measures.theta_grid(128))
-        active = _kernels.log_phistar_abs(alphas, z)
-        ref = _ref.log_phistar_abs(alphas, z)
-        dev = float(np.max(np.abs(active - ref)))
-        return dev <= 1e-10, f"{_kernels.BACKEND} backend, max dev {dev:.2e}"
-
-    checks.append(("kernels.backend_parity", parity))
-
     def scalar_consistency():
         prefix = VerblunskySequence((0.3, 0.2j, -0.4, 0.1 - 0.1j))
         z = np.exp(1j * measures.theta_grid(16))

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .measures import DEFAULT_GRID, MeasureSpec, szego_functional, szego_functional_series
-from .sequences import VerblunskySequence, difference_array, lukic_partial_sums
+from .sequences import VerblunskySequence, difference_array, lukic_partial_sums, zero_extended
 from .shift_algebra import ShiftPolynomial
 
 
@@ -95,20 +95,9 @@ def hm_shift_symbol(m: int, cleared: bool = True) -> ShiftPolynomial:
     return ShiftPolynomial(1, {(l, 0): c for l, c in sym.coeffs.items()})
 
 
-def _padded_array(seq, lo: int, hi: int) -> np.ndarray:
-    if isinstance(seq, VerblunskySequence):
-        return seq.as_array(lo, hi)
-    out = np.zeros(hi - lo, dtype=np.complex128)
-    take_lo = max(lo, 0)
-    take_hi = min(hi, len(seq))
-    if take_hi > take_lo:
-        out[take_lo - lo : take_hi - lo] = np.asarray(seq[take_lo:take_hi], dtype=np.complex128)
-    return out
-
-
 def _quadratic_form_complex(seq, m: int, N: int) -> complex:
     sym = hm_fourier(m)
-    arr = _padded_array(seq, -m, N + m + 1)
+    arr = zero_extended(seq, -m, N + m + 1)
     center = arr[m : m + N + 1]
     total = 0j
     for ell in range(-m, m + 1):
@@ -293,9 +282,6 @@ def decomposition_report(
     """Assemble K_proxy, Q, tail, power energy and residual for one (m, N).
 
     The one-row case of decomposition_sweep.  K_proxy is the exact series
-    by default; `grid` applies only to method="quadrature".  method="taylor"
-    is the earlier name of "series".
+    by default; `grid` applies only to method="quadrature".
     """
-    if method == "taylor":
-        method = "series"
     return decomposition_sweep(seq, [m], [N], method=method, grid=grid)[0]

@@ -257,16 +257,7 @@ class TestDecompositionReport:
             rep = decomposition_report(seq, m, 59, grid=512)
             assert rep.tail >= rep.power_energy / (m + 1) - 1e-12
 
-    def test_taylor_method_agrees(self):
-        seq = VerblunskySequence(tuple(0.4 / (n + 1) ** 0.7 for n in range(80)))
-        a = decomposition_report(seq, 2, 79, grid=8192)
-        b = decomposition_report(seq, 2, 79, method="taylor")
-        assert a.K_proxy == pytest.approx(b.K_proxy, abs=1e-9)
-        assert a.residual == pytest.approx(b.residual, abs=1e-9)
-
     def test_quadrature_method_agrees_with_the_series(self):
-        # test_taylor_method_agrees takes the series default on both sides;
-        # here the quadrature side is named
         seq = VerblunskySequence(tuple(0.4 / (n + 1) ** 0.7 for n in range(80)))
         a = decomposition_report(seq, 2, 79, grid=8192, method="quadrature")
         b = decomposition_report(seq, 2, 79, method="series")
