@@ -143,6 +143,8 @@ def cmd_sumrule(args) -> int:
 
 
 def cmd_gram(args) -> int:
+    if args.action in ("certify", "identity") and args.m_max < 1:
+        raise ValueError(f"--m-max must be >= 1, got {args.m_max}")
     if args.action == "certify":
         ok = True
         for m in range(1, args.m_max + 1):
@@ -227,8 +229,15 @@ def cmd_measure(args) -> int:
         family = _family_from_args(args)
         spec = measures.MeasureSpec.bernstein_szego(family.generate(args.n))
     if args.action == "functional":
-        val = measures.szego_functional(spec, args.m, args.grid)
-        print(json.dumps({"m": val.m, "value": val.value, "grid": val.grid_size}))
+        # a Bernstein-Szego measure has the exact series value; --grid is
+        # then recorded only
+        if spec.kind == "bernstein_szego":
+            value = measures.szego_functional_taylor(spec.prefix, args.m)
+            grid, method = args.grid, "series"
+        else:
+            val = measures.szego_functional(spec, args.m, args.grid)
+            value, grid, method = val.value, val.grid_size, "trapezoid"
+        print(json.dumps({"m": args.m, "value": value, "grid": grid, "method": method}))
         return 0
     if args.action == "weight":
         if spec.kind == "sampled":

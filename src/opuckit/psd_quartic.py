@@ -200,32 +200,44 @@ def gram_closed_form(m: int) -> GramBlock:
         m(2m-1)/C(2m,m) * multinom(alpha) multinom(beta)
         * sum_{p<=B} sum_{q<=C} (-1)^{p+q} C(B,p) C(C,q)
           / ((p+q+1)(A+C-q+1))
+
+    The sum depends on alpha, beta only through (A, B, C), so it is summed
+    once per index sum, in integers over L^2 with L = lcm(1..2m-1): both
+    denominator factors are at most 2m-1.  Only the upper triangle is
+    computed; the lower one is its mirror.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     idx = multi_indices(m)
-    pref = Fraction(m * (2 * m - 1), math.comb(2 * m, m))
+    L = math.lcm(*range(1, 2 * m))
+    den = math.comb(2 * m, m) * L * L
+    weight = [multinomial(m - 1, a) for a in idx]
+    sums = {}
     dim = len(idx)
-    rows = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            a, b = idx[i], idx[j]
-            A, B, C = a[0] + b[0], a[1] + b[1], a[2] + b[2]
-            acc = Fraction(0)
-            for p in range(B + 1):
-                for q in range(C + 1):
-                    term = Fraction(
-                        math.comb(B, p) * math.comb(C, q),
-                        (p + q + 1) * (A + C - q + 1),
-                    )
-                    if (p + q) % 2:
-                        acc -= term
-                    else:
-                        acc += term
-            row.append(pref * multinomial(m - 1, a) * multinomial(m - 1, b) * acc)
-        rows.append(tuple(row))
-    return GramBlock(m=m, entries=tuple(rows))
+    rows = [[None] * dim for _ in range(dim)]
+    for i, a in enumerate(idx):
+        scale = m * (2 * m - 1) * weight[i]
+        for j in range(i, dim):
+            b = idx[j]
+            key = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+            acc = sums.get(key)
+            if acc is None:
+                acc = sums[key] = _binomial_double_sum(*key, L)
+            rows[i][j] = rows[j][i] = Fraction(scale * weight[j] * acc, den)
+    return GramBlock(m=m, entries=tuple(tuple(row) for row in rows))
+
+
+def _binomial_double_sum(A: int, B: int, C: int, L: int) -> int:
+    """L^2 times the double binomial sum of gram_closed_form, an integer."""
+    total = 0
+    for q in range(C + 1):
+        inner = 0
+        for p in range(B + 1):
+            term = math.comb(B, p) * (L // (p + q + 1))
+            inner += -term if p % 2 else term
+        term = math.comb(C, q) * (L // (A + C - q + 1)) * inner
+        total += -term if q % 2 else term
+    return total
 
 
 def gram_quadrature(m: int, nodes: int | None = None) -> np.ndarray:
@@ -269,50 +281,81 @@ def pm_polynomial(m: int) -> Poly3:
 
     Expands the numerator in the shifted variables a = u-t, b = v-t, where
     the divisor (u-t)(v-t) is the monomial ab; exactness of the division is
-    verified term by term and a remainder raises.
+    verified term by term and a remainder raises.  The numerator is built
+    from multinomial coefficients in integers, the substitution back to
+    (u, v, t) is expanded binomially in integers, and the one division by
+    2 C(2m, m) comes last.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    # variables of this intermediate ring: (a, b, t)
-    a = Poly3.variable(0)
-    b = Poly3.variable(1)
-    t = Poly3.variable(2)
-    numerator = (t + a + b) ** (2 * m) + t ** (2 * m) - (t + a) ** (2 * m) - (t + b) ** (2 * m)
+    n = 2 * m
+    # (t+a+b)^n + t^n - (t+a)^n - (t+b)^n over exponents (a, b, t)
+    numerator = {}
+    for i in range(n + 1):
+        ci = math.comb(n, i)
+        for j in range(n - i + 1):
+            numerator[(i, j, n - i - j)] = ci * math.comb(n - i, j)
+    numerator[(0, 0, n)] += 1
+    for i in range(n + 1):
+        numerator[(i, 0, n - i)] -= math.comb(n, i)
+        numerator[(0, i, n - i)] -= math.comb(n, i)
     quotient = {}
-    for (i, j, l), c in numerator.terms.items():
+    for (i, j, l), c in numerator.items():
+        if not c:
+            continue
         if i < 1 or j < 1:
             raise ExactDivisionError(
                 f"numerator term a^{i} b^{j} t^{l} is not divisible by ab"
             )
         quotient[(i - 1, j - 1, l)] = c
-    q_ab = Poly3(quotient)
-    u = Poly3.variable(0)
-    v = Poly3.variable(1)
-    t_uvt = Poly3.variable(2)
-    result = q_ab.substitute(u - t_uvt, v - t_uvt, t_uvt)
-    return result * Fraction(1, 2 * math.comb(2 * m, m))
+    # a^i b^j t^l = (u-t)^i (v-t)^j t^l
+    terms = {}
+    for (i, j, l), c in quotient.items():
+        for x in range(i + 1):
+            cx = c * math.comb(i, x)
+            for y in range(j + 1):
+                term = cx * math.comb(j, y)
+                e = (x, y, l + i - x + j - y)
+                terms[e] = terms.get(e, 0) + (-term if (i - x + j - y) % 2 else term)
+    den = 2 * math.comb(n, m)
+    return Poly3({e: Fraction(c, den) for e, c in terms.items() if c})
 
 
 def gram_identity_check(m: int) -> bool:
     """Exact coefficientwise comparison of W^T M W with P_m(u(Z), v(Z), t(Z)).
 
     Z = (Z1, Z2, Z3) with u = Z3, v = -Z1-Z2-Z3, t = -Z2; both sides are
-    expanded over Q and compared as dictionaries.
+    expanded as integer dictionaries, each over the common denominator of
+    its coefficients, and compared exactly.
     """
     block = gram_closed_form(m)
     idx = multi_indices(m)
-    lhs_terms: dict = {}
-    for i, ai in enumerate(idx):
-        for j, bj in enumerate(idx):
+    lhs_den = math.lcm(*(c.denominator for row in block.entries for c in row))
+    lhs: dict = {}
+    for ai, row in zip(idx, block.entries):
+        for bj, c in zip(idx, row):
             e = (ai[0] + bj[0], ai[1] + bj[1], ai[2] + bj[2])
-            lhs_terms[e] = lhs_terms.get(e, Fraction(0)) + block.entries[i][j]
-    lhs = Poly3(lhs_terms)
+            lhs[e] = lhs.get(e, 0) + c.numerator * (lhs_den // c.denominator)
 
-    z1 = Poly3.variable(0)
-    z2 = Poly3.variable(1)
-    z3 = Poly3.variable(2)
-    rhs = pm_polynomial(m).substitute(z3, -z1 - z2 - z3, -z2)
-    return lhs == rhs
+    p = pm_polynomial(m)
+    rhs_den = math.lcm(*(c.denominator for c in p.terms.values()))
+    rhs: dict = {}
+    for (x, y, z), c in p.terms.items():
+        # u^x v^y t^z = (-1)^(y+z) Z3^x (Z1+Z2+Z3)^y Z2^z
+        coeff = c.numerator * (rhs_den // c.denominator)
+        if (y + z) % 2:
+            coeff = -coeff
+        for k1 in range(y + 1):
+            c1 = coeff * math.comb(y, k1)
+            for k2 in range(y - k1 + 1):
+                e = (k1, k2 + z, y - k1 - k2 + x)
+                rhs[e] = rhs.get(e, 0) + c1 * math.comb(y - k1, k2)
+
+    lhs = {e: c for e, c in lhs.items() if c}
+    rhs = {e: c for e, c in rhs.items() if c}
+    return lhs.keys() == rhs.keys() and all(
+        lhs[e] * rhs_den == rhs[e] * lhs_den for e in lhs
+    )
 
 
 @dataclass(frozen=True)
@@ -331,39 +374,48 @@ def psd_certificate(block) -> PsdCertificate:
     matrix, the whole remaining block to vanish: if it does, the remaining
     indices are recorded as skipped zero pivots; if it does not, the matrix
     is indefinite and certification fails.
+
+    The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): the
+    matrix is scaled to integers by the lcm `den` of its denominators, and
+    after the pivots P each entry (r, c) of the remaining block is the
+    integer minor det(M[P+r, P+c]) = prev * den * S[r][c], where prev is the
+    last Bareiss pivot det(M[P, P]) > 0 and S the rational Schur complement.
+    So every division is exact, the argmax, ties and signs are those of S,
+    and each LDL^T pivot is Fraction(bareiss pivot, prev * den).
     """
     if isinstance(block, GramBlock):
-        mat = [list(row) for row in block.entries]
+        mat = block.entries
     else:
         mat = [[Fraction(c) for c in row] for row in block]
     n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("matrix must be square")
     for i in range(n):
-        if len(mat[i]) != n:
-            raise ValueError("matrix must be square")
         for j in range(n):
             if mat[i][j] != mat[j][i]:
                 raise ValueError(f"matrix is not symmetric at ({i},{j})")
 
-    remaining = list(range(n))
+    den = math.lcm(*(c.denominator for row in mat for c in row))
+    # the upper triangle only: work[i][j - i] holds entry (i, j), j >= i
+    work = [
+        [c.numerator * (den // c.denominator) for c in row[i:]]
+        for i, row in enumerate(mat)
+    ]
+    remaining = list(range(n))  # original index of each row of work
     pivots = []
     permutation = []
+    prev = 1
     while remaining:
-        piv = max(remaining, key=lambda r: mat[r][r])
-        d = mat[piv][piv]
-        if d < 0:
-            pivots.append(d)
-            permutation.append(piv)
-            return PsdCertificate(
-                certified=False,
-                pivots=tuple(pivots),
-                permutation=tuple(permutation),
-                failure=f"negative pivot {d} at index {piv}",
-            )
+        k = max(range(len(remaining)), key=lambda i: work[i][0])
+        d = work[k][0]
+        piv = remaining[k]
         if d == 0:
-            # max diagonal is zero: PSD requires the whole block to be zero
-            for r in remaining:
-                for c in remaining:
-                    if mat[r][c] != 0:
+            # max diagonal is zero: PSD requires the whole block to be zero;
+            # by symmetry the first nonzero entry in row-major order lies in
+            # the upper triangle
+            for i, (r, row) in enumerate(zip(remaining, work)):
+                for c, x in zip(remaining[i:], row):
+                    if x:
                         return PsdCertificate(
                             certified=False,
                             pivots=tuple(pivots),
@@ -376,18 +428,25 @@ def psd_certificate(block) -> PsdCertificate:
                 pivots.append(Fraction(0))
                 permutation.append(r)
             break
-        pivots.append(d)
+        pivot = Fraction(d, prev * den)
+        pivots.append(pivot)
         permutation.append(piv)
-        remaining.remove(piv)
-        col = {r: mat[r][piv] for r in remaining}
-        for r in remaining:
-            if col[r] == 0:
-                continue
-            factor = col[r] / d
-            row_r = mat[r]
-            row_p = mat[piv]
-            for c in remaining:
-                row_r[c] -= factor * row_p[c]
+        if d < 0:
+            return PsdCertificate(
+                certified=False,
+                pivots=tuple(pivots),
+                permutation=tuple(permutation),
+                failure=f"negative pivot {pivot} at index {piv}",
+            )
+        del remaining[k]
+        # entry (k, c) for every remaining c, in order
+        col = [work[i][k - i] for i in range(k)] + work.pop(k)[1:]
+        for i, row in enumerate(work):
+            if i < k:
+                del row[k - i]
+            f = col[i]
+            row[:] = [(d * x - f * y) // prev for x, y in zip(row, col[i:])]
+        prev = d
     return PsdCertificate(
         certified=True, pivots=tuple(pivots), permutation=tuple(permutation)
     )

@@ -6,6 +6,7 @@ import pytest
 from opuckit.absorption import absorption_inequality_probe, fit_absorption_constant, gn_ratio_probe
 from opuckit.cli import classify_k_trend, main
 from opuckit.families import FamilySpec
+from opuckit.measures import MeasureSpec, szego_functional_series
 from opuckit.normal_form import NormalFormMonomial
 from opuckit.sequences import ModulusError, VerblunskySequence
 from opuckit.sum_rule import decomposition_report
@@ -176,6 +177,23 @@ class TestCliCommands:
         assert obj["m"] == 3 and obj["order"] == "grlex"
         assert len(obj["entries"]) == 6
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gram", "certify", "--m-max", "0"],
+            ["gram", "certify", "--m-max", "-3"],
+            ["gram", "identity", "--m-max", "0"],
+            ["gram", "identity", "--m-max", "-3"],
+            ["gram", "export", "--m", "0"],
+        ],
+    )
+    def test_gram_bad_order_exits_2_with_one_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_normalform_verify(self, capsys):
         assert main(["normalform", "verify"]) == 0
         out = capsys.readouterr().out
@@ -321,6 +339,26 @@ class TestCliCommands:
         assert code == 0
         val = json.loads(capsys.readouterr().out)
         assert val["value"] == pytest.approx(-math.log(0.75), abs=1e-8)
+
+    def test_measure_functional_bernstein_szego_is_the_series_value(self, capsys):
+        # the trapezoid rule at grid 4096 misses this value by 2.0e-2
+        code = main(
+            ["measure", "functional", "--family", "power", "--c", "0.9",
+             "--gamma", "0.02", "--n", "2000", "--m", "1", "--grid", "4096"]
+        )
+        assert code == 0
+        val = json.loads(capsys.readouterr().out)
+        prefix = FamilySpec(kind="power", c=0.9 + 0j, gamma=0.02).generate(2000)
+        assert val["value"] == szego_functional_series(prefix, 1, [2000])[(1, 2000)]
+        assert val["method"] == "series" and val["grid"] == 4096
+
+    def test_measure_functional_sampled_is_trapezoid(self, tmp_path, capsys):
+        spec = tmp_path / "measure.json"
+        spec.write_text(MeasureSpec.sampled([2.0] * 16).to_json())
+        assert main(["measure", "functional", "--measure-json", str(spec), "--m", "0"]) == 0
+        val = json.loads(capsys.readouterr().out)
+        assert val["method"] == "trapezoid" and val["grid"] == 16
+        assert val["value"] == pytest.approx(-math.log(2.0), abs=1e-15)
 
     def test_verify_selected_suite(self, capsys):
         assert main(["verify", "--suite", "absorb"]) == 0

@@ -1,16 +1,23 @@
+import functools
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opuckit.psd_quartic import (
     GramBlock,
+    PsdCertificate,
     Poly3,
     gram_closed_form,
     gram_identity_check,
     gram_quadrature,
     multi_indices,
+    multinomial,
     pm_polynomial,
     psd_certificate,
     raw_m2_failure_exhibit,
@@ -33,6 +40,103 @@ def pm_integral_oracle(m, u, v, t, nodes=None):
 def raw_quotient(m, u, v, t):
     num = (u + v - t) ** (2 * m) + t ** (2 * m) - u ** (2 * m) - v ** (2 * m)
     return num / (2 * math.comb(2 * m, m) * (u - t) * (v - t))
+
+
+@functools.lru_cache(maxsize=None)
+def gram_entries_oracle(m):
+    """Gram entries from the double binomial sum, entry by entry over Fraction."""
+    idx = multi_indices(m)
+    pref = Fraction(m * (2 * m - 1), math.comb(2 * m, m))
+    rows = []
+    for a in idx:
+        row = []
+        for b in idx:
+            A, B, C = a[0] + b[0], a[1] + b[1], a[2] + b[2]
+            acc = Fraction(0)
+            for p in range(B + 1):
+                for q in range(C + 1):
+                    term = Fraction(
+                        math.comb(B, p) * math.comb(C, q),
+                        (p + q + 1) * (A + C - q + 1),
+                    )
+                    if (p + q) % 2:
+                        acc -= term
+                    else:
+                        acc += term
+            row.append(pref * multinomial(m - 1, a) * multinomial(m - 1, b) * acc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def ldlt_oracle(matrix):
+    """LDL^T with diagonal pivoting, one Fraction operation at a time.
+
+    The largest remaining diagonal entry (the first one among ties) is
+    eliminated; a negative one refutes PSD; a zero maximum requires the
+    remaining block to vanish.
+    """
+    mat = [[Fraction(c) for c in row] for row in matrix]
+    remaining = list(range(len(mat)))
+    pivots = []
+    permutation = []
+    while remaining:
+        piv = max(remaining, key=lambda r: mat[r][r])
+        d = mat[piv][piv]
+        if d < 0:
+            pivots.append(d)
+            permutation.append(piv)
+            return PsdCertificate(
+                False, tuple(pivots), tuple(permutation), f"negative pivot {d} at index {piv}"
+            )
+        if d == 0:
+            for r in remaining:
+                for c in remaining:
+                    if mat[r][c] != 0:
+                        return PsdCertificate(
+                            False,
+                            tuple(pivots),
+                            tuple(permutation),
+                            f"zero diagonal with nonzero entry at ({r},{c})",
+                        )
+            pivots += [Fraction(0)] * len(remaining)
+            permutation += remaining
+            break
+        pivots.append(d)
+        permutation.append(piv)
+        remaining.remove(piv)
+        for r in remaining:
+            factor = mat[r][piv] / d
+            if factor:
+                for c in remaining:
+                    mat[r][c] -= factor * mat[piv][c]
+    return PsdCertificate(True, tuple(pivots), tuple(permutation))
+
+
+def pm_power_oracle(m):
+    """P_m from Poly3 powers: divide the numerator by ab, substitute a = u-t, b = v-t."""
+    a, b, t = (Poly3.variable(i) for i in range(3))
+    numerator = (t + a + b) ** (2 * m) + t ** (2 * m) - (t + a) ** (2 * m) - (t + b) ** (2 * m)
+    assert all(i >= 1 and j >= 1 for i, j, _ in numerator.terms)
+    quotient = Poly3({(i - 1, j - 1, l): c for (i, j, l), c in numerator.terms.items()})
+    return quotient.substitute(a - t, b - t, t) * Fraction(1, 2 * math.comb(2 * m, m))
+
+
+def random_gram_matrices(seed=77, trials=25):
+    """The B^T B matrices of the eigenvalue-oracle test and their downward shifts."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(trials):
+        n = rng.randint(2, 6)
+        B = [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(rng.randint(1, n))
+        ]
+        gram = [[sum(row[i] * row[j] for row in B) for j in range(n)] for i in range(n)]
+        eigs = np.linalg.eigvalsh(np.array([[float(c) for c in r] for r in gram]))
+        top = Fraction(int(np.ceil(eigs.max() * 2 + 1)))
+        shifted = [[gram[i][j] - (top if i == j else 0) for j in range(n)] for i in range(n)]
+        out += [gram, shifted]
+    return out
 
 
 class TestMultiIndices:
@@ -158,6 +262,11 @@ class TestPsdCertificate:
         with pytest.raises(ValueError):
             psd_certificate([[Fraction(1), Fraction(2)], [Fraction(1), Fraction(1)]])
 
+    def test_rejects_ragged_rows(self):
+        # a short last row used to end in an IndexError from the symmetry scan
+        with pytest.raises(ValueError, match="square"):
+            psd_certificate([[1, 2, 3], [2, 5, 6], [3]])
+
     def test_zero_matrix_certified(self):
         cert = psd_certificate([[Fraction(0)] * 2 for _ in range(2)])
         assert cert.certified and cert.pivots == (Fraction(0), Fraction(0))
@@ -202,6 +311,99 @@ class TestPsdCertificate:
                 for i in range(n)
             ]
             assert not psd_certificate(shifted).certified
+
+
+CERTIFICATE_CASES = [
+    [[Fraction(1, 2)]],
+    [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]],
+    [[Fraction(0)] * 2 for _ in range(2)],
+    [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]],
+    [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]],
+    [[Fraction(-1)]],
+]
+
+
+@st.composite
+def symmetric_rationals(draw):
+    """B^T B (rank-deficient when B has fewer rows than columns), B^T B - sI,
+    or a symmetric matrix with zero diagonal; dimension <= 6."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("gram", "shifted", "zero_diagonal")))
+    rational = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    if kind == "zero_diagonal":
+        upper = {(i, j): draw(rational) for i in range(n) for j in range(i + 1, n)}
+        return [
+            [Fraction(0) if i == j else upper[min(i, j), max(i, j)] for j in range(n)]
+            for i in range(n)
+        ]
+    rows = draw(st.integers(1, n))
+    B = [[draw(rational) for _ in range(n)] for _ in range(rows)]
+    gram = [[sum(r[i] * r[j] for r in B) for j in range(n)] for i in range(n)]
+    if kind == "shifted":
+        shift = draw(st.builds(Fraction, st.integers(1, 40), st.integers(1, 4)))
+        for i in range(n):
+            gram[i][i] -= shift
+    return gram
+
+
+def assert_same_certificate(cert, oracle):
+    assert cert.certified == oracle.certified
+    assert cert.pivots == oracle.pivots
+    assert all(type(p) is Fraction for p in cert.pivots)
+    assert cert.permutation == oracle.permutation
+    assert cert.failure == oracle.failure
+
+
+class TestIntegerGramPath:
+    """The integer routines against the Fraction computations they replace."""
+
+    def test_entries_equal_the_per_entry_sum(self):
+        for m in range(1, 11):
+            block = gram_closed_form(m)
+            assert block.entries == gram_entries_oracle(m)
+            assert all(type(c) is Fraction for row in block.entries for c in row)
+
+    def test_golden_digest(self):
+        text = "".join(gram_closed_form(m).to_json() + "\n" for m in range(1, 13))
+        assert (
+            hashlib.sha256(text.encode()).hexdigest()
+            == "102d8376ce5254fe39c6fa193099e08c4378bacfccfe752e53453d09de784cdf"
+        )
+
+    def test_gram_certificates_equal_the_fraction_ldlt(self):
+        for m in range(1, 11):
+            assert_same_certificate(
+                psd_certificate(gram_closed_form(m)), ldlt_oracle(gram_entries_oracle(m))
+            )
+
+    def test_fixed_certificates_equal_the_fraction_ldlt(self):
+        for matrix in CERTIFICATE_CASES + random_gram_matrices():
+            assert_same_certificate(psd_certificate(matrix), ldlt_oracle(matrix))
+
+    def test_identity_check_detects_a_perturbed_side(self, monkeypatch):
+        from opuckit import psd_quartic
+
+        pm = pm_polynomial(3)
+        monkeypatch.setattr(psd_quartic, "pm_polynomial", lambda m: pm * Fraction(1, 2))
+        assert not gram_identity_check(3)
+        monkeypatch.setattr(psd_quartic, "pm_polynomial", lambda m: pm + Poly3.monomial((4, 0, 0), 1))
+        assert not gram_identity_check(3)
+        block = gram_closed_form(3)
+        rows = [list(row) for row in block.entries]
+        rows[0][1] = rows[1][0] = rows[0][1] + Fraction(1, 7)
+        bumped = GramBlock(m=3, entries=tuple(tuple(row) for row in rows))
+        monkeypatch.setattr(psd_quartic, "pm_polynomial", lambda m: pm)
+        monkeypatch.setattr(psd_quartic, "gram_closed_form", lambda m: bumped)
+        assert not gram_identity_check(3)
+
+    def test_pm_polynomial_equals_poly3_powers(self):
+        for m in range(1, 9):
+            assert pm_polynomial(m) == pm_power_oracle(m)
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(matrix=symmetric_rationals())
+    def test_certificate_property(self, matrix):
+        assert_same_certificate(psd_certificate(matrix), ldlt_oracle(matrix))
 
 
 class TestRawExhibit:
