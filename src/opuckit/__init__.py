@@ -18,6 +18,7 @@ from .absorption import (
     GNExponent,
     HolderBudget,
     absorption_inequality_probe,
+    critical_orders,
     fit_absorption_constant,
     gn_exponent,
     gn_ratio_probe,
@@ -32,7 +33,6 @@ from .measures import (
     bernstein_szego_weight,
     szego_functional,
     szego_functional_series,
-    szego_functional_taylor,
     szego_recursion_polynomials,
     trig_moments,
     verblunsky_from_moments,
@@ -82,10 +82,8 @@ from .shift_algebra import (
 from .sum_rule import (
     DecompositionReport,
     HmSymbol,
-    constant_part_check,
     decomposition_report,
     decomposition_sweep,
-    difference_energy,
     hm_closed_form,
     hm_fourier,
     hm_shift_symbol,

@@ -70,6 +70,18 @@ def holder_budget(m: int, k: int, orders) -> HolderBudget:
     return HolderBudget(m=m, k=k, orders=orders, exponent_sum=total)
 
 
+def critical_orders(m: int, k: int) -> list[int]:
+    """The critical count m+1-k of differences spread round-robin over 2k slots.
+
+    Slots 0..k-1 are the holomorphic factors, k..2k-1 the antiholomorphic
+    ones; earlier slots take the remainder first.
+    """
+    if not 2 <= k <= m:
+        raise ValueError(f"need 2 <= k <= m, got k={k}, m={m}")
+    q, r = divmod(m + 1 - k, 2 * k)
+    return [q + (i < r) for i in range(2 * k)]
+
+
 def gn_ratio_probe(
     seq, m: int, r: int, N: int, regularize: bool = True
 ) -> float:

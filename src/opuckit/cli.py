@@ -34,29 +34,27 @@ class RunConfig:
     n_list: tuple = (250, 500, 1000, 2000)
     seed: int = 0
     out: str | None = None
-    bounded_ratio: float = 1.2  # trend threshold: max/min of last three
-    divergent_ratio: float = 2.0  # trend threshold: last/first
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def classify_k_trend(values, bounded_ratio: float = 1.2, divergent_ratio: float = 2.0) -> str:
+def classify_k_trend(values) -> str:
     """Trend of K_proxy along an increasing N list.
 
     "bounded" when the max/min ratio of the last three values is at most
-    bounded_ratio; "divergent" when last/first is at least divergent_ratio;
-    otherwise "inconclusive".  The thresholds are artifact conventions for
-    the declared N lists, not constants from any estimate.
+    1.2; "divergent" when last/first is at least 2; otherwise
+    "inconclusive".  The thresholds are artifact conventions for the
+    declared N lists, not constants from any estimate.
     """
     vals = [float(v) for v in values]
     if len(vals) < 3:
         return "inconclusive"
     tail = vals[-3:]
     lo, hi = min(tail), max(tail)
-    if lo > 0 and hi / lo <= bounded_ratio:
+    if lo > 0 and hi / lo <= 1.2:
         return "bounded"
-    if vals[0] > 0 and vals[-1] / vals[0] >= divergent_ratio:
+    if vals[0] > 0 and vals[-1] / vals[0] >= 2.0:
         return "divergent"
     return "inconclusive"
 
@@ -77,7 +75,7 @@ def _add_family_args(p: argparse.ArgumentParser):
 
 def _family_from_args(args) -> FamilySpec:
     if not args.family:
-        raise SystemExit("a --family is required")
+        raise ValueError("a --family is required")
     kw = {}
     if args.family in ("power", "rotated", "constant"):
         kw["c"] = complex(args.c, args.c_imag)
@@ -90,7 +88,7 @@ def _family_from_args(args) -> FamilySpec:
         kw["modulus_cap"] = args.cap
     if args.family == "explicit":
         if not args.values:
-            raise SystemExit("explicit family needs --values FILE")
+            raise ValueError("explicit family needs --values FILE")
         with open(args.values) as fh:
             kw["values"] = tuple(complex(re, im) for re, im in json.load(fh))
     return FamilySpec(kind=args.family, **kw)
@@ -164,12 +162,9 @@ def cmd_gram(args) -> int:
         block = psd_quartic.gram_closed_form(args.m)
         _emit(block.to_json() + "\n", args.out)
         return 0
-    raise SystemExit(f"unknown gram action {args.action!r}")
 
 
 def cmd_normalform(args) -> int:
-    if args.action != "verify":
-        raise SystemExit("normalform supports: verify")
     results, ok = run_suites("normalform")
     more, ok2 = run_suites("algebra")
     _print_table(results + more)
@@ -192,13 +187,7 @@ def cmd_absorb(args) -> int:
             lines.append(f"{label},{m},r={r},{N},{ratio!r},,,")
     elif args.k is not None:
         k = int(args.k)
-        orders = [0] * (2 * k)
-        rem = m + 1 - k
-        i = 0
-        while rem > 0:
-            orders[i % (2 * k)] += 1
-            rem -= 1
-            i += 1
+        orders = absorption.critical_orders(m, k)
         mono = NormalFormMonomial(
             k,
             tuple((orders[j], 0) for j in range(k)),
@@ -216,7 +205,7 @@ def cmd_absorb(args) -> int:
                 f"{label},{m},k={k},{N},,{probe.lhs!r},{probe.rhs!r},{probe.passed}"
             )
     else:
-        raise SystemExit("absorb probe needs --r (GN ratio) or --k (monomial probe)")
+        raise ValueError("absorb probe needs --r (GN ratio) or --k (monomial probe)")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -232,7 +221,8 @@ def cmd_measure(args) -> int:
         # a Bernstein-Szego measure has the exact series value; --grid is
         # then recorded only
         if spec.kind == "bernstein_szego":
-            value = measures.szego_functional_taylor(spec.prefix, args.m)
+            N = max(len(spec.prefix) - 1, 0)
+            value = measures.szego_functional_series(spec.prefix, args.m, [N])[(args.m, N)]
             grid, method = args.grid, "series"
         else:
             val = measures.szego_functional(spec, args.m, args.grid)
@@ -250,7 +240,6 @@ def cmd_measure(args) -> int:
         mom = measures.trig_moments(spec, args.kmax, args.grid)
         print(json.dumps([[c.real, c.imag] for c in mom]))
         return 0
-    raise SystemExit(f"unknown measure action {args.action!r}")
 
 
 def _print_table(results):

@@ -7,11 +7,12 @@ uniform theta grid.  The weighted Szego functional
     K_m = integral (1 - cos theta)^m log(1/w(theta)) dtheta / (2 pi)
 
 of a Bernstein-Szego prefix is evaluated exactly (up to rounding) by the
-Schur-ratio series of szego_functional_series.  Composite trapezoid
-quadrature on a theta grid (szego_functional) serves sampled weights and
-stays as the cross-check; it converges slowly once zeros of phi*_N come
-close to the circle.  All Bernstein-Szego grid evaluations run in log space
-so that long non-square-summable prefixes cannot overflow the recursion.
+Schur-ratio series of szego_functional_series, at every checkpoint N and
+order m of one pass.  Composite trapezoid quadrature on a theta grid
+(szego_functional) is the route for sampled weights and the library oracle
+for the series; it converges slowly once zeros of phi*_N come close to the
+circle.  All Bernstein-Szego grid evaluations run in log space so that long
+non-square-summable prefixes cannot overflow the recursion.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -92,6 +94,14 @@ class SzegoFunctionalValue:
     value: float
     grid_size: int
     convention: str = "K = integral (1-cos theta)^m log(1/w) dtheta/2pi"
+
+
+def hm_closed_form(m: int, ell: int) -> Fraction:
+    """Fourier coefficient h_{m,l} = (-1)^l 2^-m C(2m, m+l) of (1-cos theta)^m."""
+    if abs(ell) > m:
+        return Fraction(0)
+    val = Fraction(math.comb(2 * m, m + abs(ell)), 2**m)
+    return -val if ell % 2 else val
 
 
 def theta_grid(grid_size: int) -> np.ndarray:
@@ -203,8 +213,9 @@ def szego_functional(
     """Trapezoid value of integral (1-cos theta)^m log(1/w) dtheta/2pi.
 
     On a uniform periodic grid the composite trapezoid rule is the plain mean
-    of the samples.  A Bernstein-Szego prefix is sampled on grid_size nodes;
-    szego_functional_series gives its exact value.
+    of the samples.  A Bernstein-Szego prefix is sampled on grid_size nodes,
+    which makes this the grid oracle for szego_functional_series; the series
+    gives its exact value.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -250,7 +261,7 @@ def szego_functional_series(prefix, m_max: int, checkpoints) -> dict:
     if wanted and wanted[0] < 0:
         raise ValueError("checkpoints must be >= 0")
     M = m_max
-    h = [[hm_coefficient(m, ell) for ell in range(m + 1)] for m in range(M + 1)]
+    h = [[float(hm_closed_form(m, ell)) for ell in range(m + 1)] for m in range(M + 1)]
     b = [0j] * (M + 1)  # b_n, degrees 0..M; b_n(0) = 0 for every n
     if M:
         b[1] = 1 + 0j
@@ -296,29 +307,3 @@ def szego_functional_series(prefix, m_max: int, checkpoints) -> dict:
         record(nxt)
         nxt = next(pending, None)
     return out
-
-
-def szego_functional_taylor(prefix, m: int) -> float:
-    """Exact value of the functional for a Bernstein-Szego measure.
-
-    The whole prefix is one checkpoint of szego_functional_series; the
-    quadrature-free oracle for szego_functional.
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if not isinstance(prefix, VerblunskySequence):
-        prefix = VerblunskySequence(tuple(prefix))
-    N = max(len(prefix) - 1, 0)
-    return szego_functional_series(prefix, m, [N])[(m, N)]
-
-
-def hm_coefficient(m: int, ell: int) -> float:
-    """Fourier coefficient of (1-cos theta)^m at frequency ell, as a float.
-
-    Closed form (-1)^ell 2^-m C(2m, m+ell); the exact symbolic version lives
-    in the sum-rule module.
-    """
-    if abs(ell) > m:
-        return 0.0
-    sign = -1.0 if ell % 2 else 1.0
-    return sign * math.comb(2 * m, m + abs(ell)) / 2.0**m

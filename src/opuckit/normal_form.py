@@ -59,11 +59,6 @@ class NormalFormMonomial:
     def difference_count(self) -> int:
         return sum(a for a, _ in self.holo_factors) + sum(b for b, _ in self.anti_factors)
 
-    @property
-    def shift_radius(self) -> int:
-        spans = [abs(s) + a for a, s in self.holo_factors + self.anti_factors]
-        return max(spans) if spans else 0
-
     def as_float(self) -> "NormalFormMonomial":
         c = self.coeff
         if isinstance(c, GaussianRational):
@@ -261,25 +256,21 @@ class TelescopeTerm:
         return 0 if total is None else total
 
 
-def telescope_sum(term: TelescopeTerm, seq, N: int, check: bool = True, rtol: float = 1e-12):
+def telescope_sum(term: TelescopeTerm, seq, N: int):
     """Endpoint value B_{N+1} - B_0 of the finite sum of (P-1)B_n over [0, N].
 
-    When check is set, the naive accumulation of B_{n+1} - B_n is compared
-    against the endpoint formula and a mismatch beyond rtol raises.
+    The naive accumulation of B_{n+1} - B_n is compared against the endpoint
+    formula, and a mismatch beyond 1e-12 * max(1, |value|) raises.
     """
-    b_end = term.body_value(seq, N + 1)
-    b_start = term.body_value(seq, 0)
-    value = b_end - b_start
-    if check:
-        naive = 0
-        for n in range(N + 1):
-            naive = naive + (term.body_value(seq, n + 1) - term.body_value(seq, n))
-        dev = value - naive
-        if isinstance(dev, GaussianRational):
-            dev = dev.to_complex()
-        scale = max(1.0, abs(complex(value) if not isinstance(value, GaussianRational) else value.to_complex()))
-        if abs(complex(dev)) > rtol * scale:
-            raise ArithmeticError(
-                f"telescoping cross-check failed: endpoint {value} vs naive {naive}"
-            )
+    value = term.body_value(seq, N + 1) - term.body_value(seq, 0)
+    naive = 0
+    for n in range(N + 1):
+        naive = naive + (term.body_value(seq, n + 1) - term.body_value(seq, n))
+    dev, scale = value - naive, value
+    if isinstance(value, GaussianRational):
+        dev, scale = dev.to_complex(), value.to_complex()
+    if abs(complex(dev)) > 1e-12 * max(1.0, abs(complex(scale))):
+        raise ArithmeticError(
+            f"telescoping cross-check failed: endpoint {value} vs naive {naive}"
+        )
     return value

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -86,11 +85,6 @@ class EnergyReport:
     diff_energy: float
     power_energy: float
 
-    CSV_HEADER = "m,N,diff_energy,power_energy"
-
-    def csv_row(self) -> str:
-        return f"{self.m},{self.N},{self.diff_energy!r},{self.power_energy!r}"
-
 
 def zero_extended(seq, start: int, stop: int) -> np.ndarray:
     """Complex array of entries start..stop-1, 0 outside the stored prefix.
@@ -162,9 +156,3 @@ def lp_norm(values, p: float, N: int | None = None) -> float:
         total += abs(entry(values, n)) ** p
     return total ** (1.0 / p)
 
-
-def write_energy_csv(reports: Iterable[EnergyReport], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(EnergyReport.CSV_HEADER + "\n")
-        for rep in reports:
-            fh.write(rep.csv_row() + "\n")

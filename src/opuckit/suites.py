@@ -305,18 +305,18 @@ def _measures_checks() -> list[Check]:
 
     checks.append(("measures.moment_roundtrip", roundtrip))
 
-    def taylor_oracle():
+    def series_oracle():
         prefix = VerblunskySequence((0.4, 0.2 - 0.3j, -0.1j, 0.25))
         for m in (1, 2, 3):
             quad = measures.szego_functional(
                 measures.MeasureSpec.bernstein_szego(prefix), m, 4096
             ).value
-            ser = measures.szego_functional_taylor(prefix, m)
+            ser = measures.szego_functional_series(prefix, m, [3])[(m, 3)]
             if abs(quad - ser) > 1e-9:
                 return False, f"m={m}: quadrature {quad} vs series {ser}"
         return True, "quadrature matches series oracle"
 
-    checks.append(("measures.series_oracle", taylor_oracle))
+    checks.append(("measures.series_oracle", series_oracle))
     return checks
 
 
@@ -341,7 +341,7 @@ def _sumrule_checks() -> list[Check]:
             vals[i] = 0.8 * (rng.random() - 0.5) + 0.8j * (rng.random() - 0.5)
         seq = VerblunskySequence(tuple(vals))
         q1 = sum_rule.quadratic_form(seq, m, N)
-        q2 = sum_rule.difference_energy(seq, m, N)
+        q2 = lukic_partial_sums(seq, m, N).diff_energy / 2**m
         return abs(q1 - q2) <= 1e-12, f"|fourier - difference energy| = {abs(q1 - q2):.2e}"
 
     checks.append(("sumrule.interior_identity", interior_identity))
@@ -368,8 +368,8 @@ def _sumrule_checks() -> list[Check]:
 
     def residual_constancy():
         seq = VerblunskySequence(tuple(0.5 / (n + 1) for n in range(160)))
-        r1 = sum_rule.decomposition_report(seq, 1, 50, method="series").residual
-        r2 = sum_rule.decomposition_report(seq, 1, 150, method="series").residual
+        r1 = sum_rule.decomposition_report(seq, 1, 50).residual
+        r2 = sum_rule.decomposition_report(seq, 1, 150).residual
         expected = 0.5 + 0.5**2 / 2
         ok = abs(r1 - expected) <= 1e-10 and abs(r2 - expected) <= 1e-10
         return ok, f"m=1 residual {r1:.12f} vs Re a_0 + |a_0|^2/2"
@@ -399,14 +399,7 @@ def _absorb_checks() -> list[Check]:
     def budgets():
         for m in range(2, 13):
             for k in range(2, m + 1):
-                orders = [0] * (2 * k)
-                rem = m + 1 - k
-                i = 0
-                while rem > 0:
-                    orders[i % (2 * k)] += 1
-                    rem -= 1
-                    i += 1
-                budget = absorption.holder_budget(m, k, orders)
+                budget = absorption.holder_budget(m, k, absorption.critical_orders(m, k))
                 expected = Fraction(m + 1 + k, 2 * (m + 1))
                 if budget.exponent_sum != expected or not budget.subcritical:
                     return False, f"budget mismatch at m={m}, k={k}"

@@ -7,12 +7,13 @@ pointwise logarithmic tail, and the assembled per-(m, N) report
     residual = K_proxy - Q - tail,
 
 where K_proxy is the weighted log functional of the Bernstein-Szego
-truncation (the exact series by default, trapezoid quadrature as the
-cross-check), Q is the difference energy 2^-m sum |Delta^m a_n|^2 and tail
-is the summed logarithmic tail.  The residual deliberately conflates the
-remaining critical contributions, boundary terms and the proxy error; none
-of those is separately constructible at this scale, so reports label it an
-unresolved remainder and trend checks quantify its boundedness.
+truncation (szego_functional_series, exact up to rounding), Q is the
+difference energy 2^-m sum |Delta^m a_n|^2 from lukic_partial_sums and tail
+is the summed logarithmic tail.  quadratic_form, the Fourier side of Q, and
+the trapezoid szego_functional stay as oracles only.  The residual
+deliberately conflates the remaining critical contributions and boundary
+terms; none of those is separately constructible at this scale, so reports
+label it an unresolved remainder and trend checks quantify its boundedness.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .measures import DEFAULT_GRID, MeasureSpec, szego_functional, szego_functional_series
-from .sequences import VerblunskySequence, difference_array, lukic_partial_sums, zero_extended
+from .measures import hm_closed_form, szego_functional_series
+from .sequences import VerblunskySequence, lukic_partial_sums, zero_extended
 from .shift_algebra import ShiftPolynomial
 
 
@@ -45,14 +46,6 @@ class HmSymbol:
             raise ValueError("symbol must vanish at theta = 0")
         if h[0] != Fraction(math.comb(2 * self.m, self.m), 2**self.m):
             raise ValueError("central coefficient is not 2^-m C(2m, m)")
-
-
-def hm_closed_form(m: int, ell: int) -> Fraction:
-    """h_{m,l} = (-1)^l 2^-m C(2m, m+l)."""
-    if abs(ell) > m:
-        return Fraction(0)
-    val = Fraction(math.comb(2 * m, m + abs(ell)), 2**m)
-    return -val if ell % 2 else val
 
 
 def hm_fourier(m: int) -> HmSymbol:
@@ -76,23 +69,14 @@ def hm_fourier(m: int) -> HmSymbol:
     return HmSymbol(m=m, coeffs=coeffs)
 
 
-def hm_shift_symbol(m: int, cleared: bool = True) -> ShiftPolynomial:
+def hm_shift_symbol(m: int) -> ShiftPolynomial:
     """The quadratic symbol as a k = 1 shift polynomial in x_1 alone.
 
-    cleared=True gives P^m H_m(P) = 2^-m (-1)^m (P-1)^{2m} (nonnegative
-    exponents); cleared=False keeps the Laurent form with the Fourier
-    coefficients at exponents -m..m.  Both have a diagonal zero of order
-    exactly 2m, since they differ only by the unit x_1^m.
+    P^m H_m(P) = 2^-m (-1)^m (P-1)^{2m}: the Fourier coefficient h_{m,l} sits
+    at exponent l + m >= 0.  Its diagonal zero has order exactly 2m, as the
+    Laurent form's does, since the two differ only by the unit x_1^m.
     """
-    if cleared:
-        sign = -1 if m % 2 else 1
-        terms = {}
-        for j in range(2 * m + 1):
-            c = Fraction(sign * (-1) ** (2 * m - j) * math.comb(2 * m, j), 2**m)
-            terms[(j, 0)] = c
-        return ShiftPolynomial(1, terms)
-    sym = hm_fourier(m)
-    return ShiftPolynomial(1, {(l, 0): c for l, c in sym.coeffs.items()})
+    return ShiftPolynomial(1, {(l + m, 0): hm_closed_form(m, l) for l in range(-m, m + 1)})
 
 
 def _quadratic_form_complex(seq, m: int, N: int) -> complex:
@@ -116,12 +100,6 @@ def quadratic_form(seq, m: int, N: int) -> float:
     if m < 1:
         raise ValueError("m must be >= 1")
     return _quadratic_form_complex(seq, m, N).real
-
-
-def difference_energy(seq, m: int, N: int) -> float:
-    """2^-m sum_{n=0}^{N} |Delta^m a_n|^2, the coercive quadratic normal form."""
-    diffs = difference_array(seq, m, N)
-    return float(np.sum(np.abs(diffs) ** 2)) / 2.0**m
 
 
 def log_tails(alphas, m: int) -> np.ndarray:
@@ -175,18 +153,6 @@ def log_tail(alpha, m: int) -> float:
     return float(log_tails([alpha], m)[0])
 
 
-def constant_part_check(m: int) -> list[Fraction]:
-    """The universal diagonal constants [-1/k for k = 1..m].
-
-    These are exactly the coefficients subtracted in log_tail; exposing them
-    keeps the cancellation bookkeeping explicit and testable against the
-    Taylor series of log(1/(1-x)).
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return [Fraction(-1, k) for k in range(1, m + 1)]
-
-
 @dataclass(frozen=True)
 class DecompositionReport:
     """One finite-volume decomposition row; residual is the unresolved remainder."""
@@ -208,25 +174,13 @@ class DecompositionReport:
         )
 
 
-METHODS = ("series", "quadrature")
-
-
-def decomposition_sweep(
-    seq,
-    m_list,
-    n_list,
-    method: str = "series",
-    grid: int = DEFAULT_GRID,
-) -> list[DecompositionReport]:
+def decomposition_sweep(seq, m_list, n_list) -> list[DecompositionReport]:
     """Decomposition rows for every (m, N) of m_list x n_list, sorted by (m, N).
 
     Every row refers to the Bernstein-Szego truncation a_0..a_N of the same
-    sequence.  method="series" takes every K_proxy from one exact
-    szego_functional_series pass to max(n_list); method="quadrature" is the
-    trapezoid cross-check, szego_functional on `grid` nodes for each (m, N).
-    `grid` applies only to "quadrature".  The tail is a cumulative sum of
-    per-entry tails; Q and the power energy come from lukic_partial_sums at
-    each N.
+    sequence.  Every K_proxy comes from one exact szego_functional_series
+    pass to max(n_list).  The tail is a cumulative sum of per-entry tails; Q
+    and the power energy come from lukic_partial_sums at each N.
     """
     m_list = sorted(int(m) for m in m_list)
     n_list = sorted(int(N) for N in n_list)
@@ -236,20 +190,11 @@ def decomposition_sweep(
         raise ValueError("m must be >= 1")
     if n_list[0] < 0:
         raise ValueError("N must be >= 0")
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
     if not isinstance(seq, VerblunskySequence):
         seq = VerblunskySequence(tuple(seq))
     n_max = n_list[-1]
     values = seq.values[: n_max + 1]
-    if method == "series":
-        K = szego_functional_series(seq, m_list[-1], n_list)
-    else:
-        K = {
-            (m, N): szego_functional(MeasureSpec.bernstein_szego(seq.truncated(N + 1)), m, grid).value
-            for m in m_list
-            for N in n_list
-        }
+    K = szego_functional_series(seq, m_list[-1], n_list)
     padded = seq.as_array(0, n_max + 1)
     rows = []
     for m in m_list:
@@ -272,16 +217,9 @@ def decomposition_sweep(
     return rows
 
 
-def decomposition_report(
-    seq,
-    m: int,
-    N: int,
-    grid: int = DEFAULT_GRID,
-    method: str = "series",
-) -> DecompositionReport:
+def decomposition_report(seq, m: int, N: int) -> DecompositionReport:
     """Assemble K_proxy, Q, tail, power energy and residual for one (m, N).
 
-    The one-row case of decomposition_sweep.  K_proxy is the exact series
-    by default; `grid` applies only to method="quadrature".
+    The one-row case of decomposition_sweep.
     """
-    return decomposition_sweep(seq, [m], [N], method=method, grid=grid)[0]
+    return decomposition_sweep(seq, [m], [N])[0]

@@ -9,6 +9,7 @@ from opuckit.families import FamilySpec
 from opuckit.measures import MeasureSpec, szego_functional_series
 from opuckit.normal_form import NormalFormMonomial
 from opuckit.sequences import ModulusError, VerblunskySequence
+from opuckit.suites import SUITES
 from opuckit.sum_rule import decomposition_report
 
 
@@ -137,6 +138,13 @@ class TestCliCommands:
         sidecar = json.loads((tmp_path / "rows.csv.config.json").read_text())
         assert sidecar["grid_size"] == 256
         assert sidecar["family"] == {"kind": "constant", "c": [0.0, 0.0]}
+
+    def test_sumrule_sidecar_records_the_applied_settings(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        args = ["sumrule", "report", "--family", "constant", "--c", "0.5", "--n-list", "5"]
+        assert main(args + ["--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "rows.csv.config.json").read_text())
+        assert sorted(sidecar) == ["family", "grid_size", "m_list", "n_list", "out", "seed"]
 
     def test_sumrule_determinism(self, tmp_path):
         args = [
@@ -460,6 +468,37 @@ class TestSweepsFollowOneSequence:
                 mono, full.truncated(N + 2 * 2 + 3), 2, N, 0.1, constant
             )
             assert row[5:] == [repr(probe.lhs), repr(probe.rhs), str(probe.passed)]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sumrule", "report"],
+            ["generate", "--n", "3"],
+            ["measure", "functional"],
+            ["sumrule", "report", "--family", "explicit"],
+            ["absorb", "probe", "--family", "power", "--c", "0.5", "--m", "2"],
+            ["absorb", "probe", "--family", "power", "--c", "0.5", "--m", "3", "--k", "0"],
+        ],
+        ids=["no-family", "generate-no-family", "measure-no-family", "explicit-no-values",
+             "absorb-no-probe", "absorb-k-0"],
+    )
+    def test_exits_2_with_one_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+SUITE_CHECKS = {name: run for build in SUITES.values() for name, run in build()}
+
+
+@pytest.mark.parametrize("name", list(SUITE_CHECKS))
+def test_suite_check_passes(name):
+    ok, detail = SUITE_CHECKS[name]()
+    assert ok, detail
 
 
 class TestConfigErrors:

@@ -243,7 +243,7 @@ class TestTelescope:
             NormalFormMonomial(1, ((0, 0),), ((2, 0),), -0.3j),
         )
         # telescope_sum raises if the naive accumulation disagrees
-        telescope_sum(TelescopeTerm(body=body), seq, 200, check=True)
+        telescope_sum(TelescopeTerm(body=body), seq, 200)
 
     def test_cross_check_catches_mismatch(self):
         class Lying(TelescopeTerm):

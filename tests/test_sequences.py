@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from opuckit.sequences import (
-    EnergyReport,
     ModulusError,
     VerblunskySequence,
     difference_array,
     forward_difference,
     lp_norm,
     lukic_partial_sums,
-    write_energy_csv,
 )
 
 
@@ -178,14 +176,6 @@ class TestEnergies:
             assert rep.diff_energy >= prev[0] - 1e-15
             assert rep.power_energy >= prev[1] - 1e-15
             prev = (rep.diff_energy, rep.power_energy)
-
-    def test_csv_export(self, tmp_path):
-        reps = [EnergyReport(1, 10, 0.5, 0.25), EnergyReport(2, 20, 0.125, 0.0625)]
-        path = tmp_path / "energy.csv"
-        write_energy_csv(reps, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "m,N,diff_energy,power_energy"
-        assert lines[1] == "1,10,0.5,0.25"
 
 
 class TestLpNorm:

@@ -16,9 +16,7 @@ from opuckit.measures import (
     MeasureSpec,
     szego_functional,
     szego_functional_series,
-    szego_functional_taylor,
 )
-from opuckit.sequences import VerblunskySequence
 
 
 def mp_functional(values, m_max, checkpoints, dps=40):
@@ -115,13 +113,6 @@ class TestSeriesFunctional:
         padded = szego_functional_series(prefix + (0j,) * 7, 3, (9,))
         for m in range(4):
             assert got[(m, 9)] == got[(m, 2)] == padded[(m, 9)]
-
-    def test_taylor_is_the_whole_prefix_checkpoint(self):
-        prefix = VerblunskySequence((0.4, 0.2 - 0.3j, -0.1j, 0.25, 0.6))
-        series = szego_functional_series(prefix, 4, (4,))
-        for m in range(5):
-            assert szego_functional_taylor(prefix, m) == series[(m, 4)]
-        assert szego_functional_taylor([], 2) == 0.0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

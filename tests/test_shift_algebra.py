@@ -21,11 +21,16 @@ from opuckit.suites import (
     random_ideal_member,
     random_laurent_monomial,
 )
-from opuckit.sum_rule import hm_shift_symbol
+from opuckit.sum_rule import hm_fourier, hm_shift_symbol
 
 
 def x(k, i):
     return ShiftPolynomial.x(k, i)
+
+
+def hm_laurent_symbol(m):
+    """H_m with its Fourier coefficients at exponents -m..m of x_1."""
+    return ShiftPolynomial(1, {(l, 0): c for l, c in hm_fourier(m).coeffs.items()})
 
 
 def y(k, j):
@@ -136,7 +141,7 @@ class TestDiagEval:
     def test_hm_symbol_diagonal_zero(self):
         for m in (1, 2, 3, 4):
             assert diag_eval(hm_shift_symbol(m)).is_zero()
-            assert diag_eval(hm_shift_symbol(m, cleared=False)).is_zero()
+            assert diag_eval(hm_laurent_symbol(m)).is_zero()
 
     def test_homomorphism(self):
         rng = random.Random(101)
@@ -183,7 +188,7 @@ class TestVanishingOrder:
     def test_hm_symbol_order(self):
         for m in range(1, 6):
             assert vanishing_order(hm_shift_symbol(m), 12) == 2 * m
-            assert vanishing_order(hm_shift_symbol(m, cleared=False), 12) == 2 * m
+            assert vanishing_order(hm_laurent_symbol(m), 12) == 2 * m
 
     def test_unit_invariance(self):
         rng = random.Random(102)
