@@ -1,7 +1,9 @@
 """Batch driver: family generation, sum-rule sweeps, certification, probes.
 
 Subcommands: generate, sumrule, gram, normalform, absorb, measure, verify.
-A flat key-value JSON config (--config) supplies defaults for any flag.
+A JSON config (--config) supplies flag defaults: a flat key applies to
+every subcommand with a flag of that name, and a key naming a subcommand
+holds an object of defaults for that subcommand alone.
 Sweep output is CSV plus a JSON sidecar of the run configuration; runs are
 deterministic (rows sorted before emit, byte-identical output modulo the
 version header line).
@@ -267,7 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Desk-scale checks for the single-critical-point higher-order "
         "Szego sum-rule calculus.",
     )
-    parser.add_argument("--config", help="flat key-value JSON supplying flag defaults")
+    parser.add_argument(
+        "--config",
+        help="JSON of flag defaults; a subcommand's name may hold defaults for it alone",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="emit a sequence as JSON [re, im] pairs")
@@ -322,8 +327,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all")
     p.set_defaults(fn=cmd_verify)
 
-    parser._all_subparsers = list(sub.choices.values())
+    parser._subcommands = dict(sub.choices)
     return parser
+
+
+def _dests(keys: dict) -> dict:
+    return {k.replace("-", "_"): v for k, v in keys.items()}
+
+
+def _check_config_keys(parser, keys: dict, flags: set, prefix: str):
+    for key in keys:
+        if key.replace("-", "_") not in flags:
+            parser.error(f"argument --config: unknown key {prefix + key!r}")
 
 
 def main(argv=None) -> int:
@@ -340,16 +355,25 @@ def main(argv=None) -> int:
             parser.error(f"argument --config: {exc}")
         if not isinstance(defaults, dict):
             parser.error("argument --config: expected a JSON object of flag defaults")
-        # a key may belong to any subcommand, but must name some flag
-        flags = {a.dest for p in [parser] + parser._all_subparsers for a in p._actions}
-        for key in defaults:
-            if key.replace("-", "_") not in flags:
-                parser.error(f"argument --config: unknown key {key!r}")
-        overrides = {k.replace("-", "_"): v for k, v in defaults.items()}
+        subcommands = parser._subcommands
+        flat = {k: v for k, v in defaults.items() if k not in subcommands}
+        # a flat key may belong to any subcommand, but must name some flag
+        flags = {a.dest for p in [parser, *subcommands.values()] for a in p._actions}
+        _check_config_keys(parser, flat, flags, "")
         # subparsers parse into a fresh namespace, so they need the
         # overrides as well
-        for p in [parser] + parser._all_subparsers:
-            p.set_defaults(**overrides)
+        for p in [parser, *subcommands.values()]:
+            p.set_defaults(**_dests(flat))
+        # a scoped section must name flags of its own subcommand, and wins
+        # over the flat keys there
+        for name, scoped in defaults.items():
+            if name not in subcommands:
+                continue
+            if not isinstance(scoped, dict):
+                parser.error(f"argument --config: {name!r} must hold a JSON object")
+            own = {a.dest for a in subcommands[name]._actions}
+            _check_config_keys(parser, scoped, own, f"{name}.")
+            subcommands[name].set_defaults(**_dests(scoped))
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -6,8 +6,11 @@ A normal-form monomial of degree 2k is
 
 the atom into which every diagonal-ideal expansion converts.  The module
 carries a dual numeric representation with one API: exact Gaussian-rational
-coefficients over exact sequences (the test oracle) and complex floats over
-float sequences (the experiment engine).
+coefficients over exact sequences (GaussianRational or Fraction entries; the
+test oracle) and complex floats over float sequences (the experiment
+engine).  Exact values are computed in Gaussian integers: the sequence is
+scaled once over a common denominator and its differences are tabulated once
+per window of indices.
 
 Also here: the discrete Leibniz expansion of Delta^q over a product, the
 discrete summation-by-parts identity, and explicit telescoping bookkeeping,
@@ -28,7 +31,10 @@ from .shift_algebra import (
     ShiftPolynomial,
     coefficient_map,
     ideal_power_decompose,
+    _exact_sums,
+    _gaussian_over,
     _is_exact_sequence,
+    _polynomial_terms,
 )
 
 
@@ -125,21 +131,15 @@ def from_ideal_expansion(decomposition: IdealDecomposition) -> list[NormalFormMo
 def evaluate(monomial: NormalFormMonomial, seq, n: int):
     """coeff * prod (Delta^a a)_{n+l} * prod (Delta^b conj(a))_{n+r}.
 
-    Exact over exact sequences; complex over float sequences.  Conjugation
-    commutes with the real-coefficient differences, so the antiholomorphic
-    factors are conjugated after differencing.
+    Exact (a GaussianRational) over sequences with GaussianRational or
+    Fraction entries; complex over float sequences.  Conjugation commutes
+    with the real-coefficient differences, so the antiholomorphic factors
+    are conjugated after differencing.
     """
-    exact = _is_exact_sequence(seq)
+    if _is_exact_sequence(seq):
+        (value,), den = _exact_sums(monomial.k, seq, (n,), [_monomial_term(monomial)])
+        return _gaussian_over(value, den)
     coeff = monomial.coeff
-    if exact:
-        prod = coeff if isinstance(coeff, GaussianRational) else GaussianRational.coerce(coeff)
-        for a, shift in monomial.holo_factors:
-            d = GaussianRational.coerce(forward_difference(seq, a, n + shift))
-            prod = prod * d
-        for b, shift in monomial.anti_factors:
-            d = GaussianRational.coerce(forward_difference(seq, b, n + shift))
-            prod = prod * d.conjugate()
-        return prod
     if isinstance(coeff, GaussianRational):
         coeff = coeff.to_complex()
     prod = complex(coeff)
@@ -150,10 +150,19 @@ def evaluate(monomial: NormalFormMonomial, seq, n: int):
     return prod
 
 
+def _monomial_term(monomial: NormalFormMonomial) -> tuple:
+    return (
+        GaussianRational.coerce(monomial.coeff),
+        monomial.holo_factors + monomial.anti_factors,
+    )
+
+
 def pointwise_equality_check(P: ShiftPolynomial, q: int, seq, window) -> float:
     """Max |coefficient_map(P) - sum of normal-form evaluations| over the window.
 
-    Exactly 0.0 in the rational representation; propagates the membership
+    Exactly 0.0 on an exact sequence (GaussianRational or Fraction
+    entries), where both sides are compared in Gaussian integers from one
+    difference table for the whole window; propagates the membership
     failure if P is not in the declared ideal power.
     """
     decomposition = ideal_power_decompose(P, q)
@@ -161,6 +170,14 @@ def pointwise_equality_check(P: ShiftPolynomial, q: int, seq, window) -> float:
     if isinstance(window, tuple) and len(window) == 2:
         window = range(window[0], window[1] + 1)
     worst = 0.0
+    if _is_exact_sequence(seq):
+        sums, den = _exact_sums(
+            P.k, seq, window, _polynomial_terms(P), [_monomial_term(m) for m in monomials]
+        )
+        for dev in sums:
+            if dev != (0, 0):
+                worst = max(worst, abs(_gaussian_over(dev, den).to_complex()))
+        return worst
     for n in window:
         lhs = coefficient_map(P, seq, n)
         rhs = None
@@ -169,10 +186,7 @@ def pointwise_equality_check(P: ShiftPolynomial, q: int, seq, window) -> float:
             rhs = val if rhs is None else rhs + val
         if rhs is None:
             rhs = 0
-        dev = lhs - rhs
-        if isinstance(dev, GaussianRational):
-            dev = dev.to_complex()
-        worst = max(worst, abs(complex(dev)))
+        worst = max(worst, abs(complex(lhs - rhs)))
     return worst
 
 

@@ -23,6 +23,7 @@ when some mixed derivative of that order is nonzero at the diagonal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -409,21 +410,15 @@ def coefficient_map(P: ShiftPolynomial, seq, n: int):
 
     Each monomial x^i y^j contributes coeff * prod a_{n+i_nu} * prod
     conj(a)_{n+j_mu}, with the zero extension for out-of-range indices.
-    Float sequences give a complex value; sequences of GaussianRational
-    entries keep the computation exact.
+    Float sequences give a complex value.  Sequences with GaussianRational
+    or Fraction entries (ints may sit beside them) are exact: the value is
+    a GaussianRational, computed in Gaussian integers over one common
+    denominator.
     """
     k = P.k
-    exact = _is_exact_sequence(seq)
-    if exact:
-        total = GR_ZERO
-        for exps, coeff in P.terms.items():
-            prod = coeff
-            for slot in range(k):
-                prod = prod * _exact_entry(seq, n + exps[slot])
-            for slot in range(k, 2 * k):
-                prod = prod * _exact_entry(seq, n + exps[slot]).conjugate()
-            total = total + prod
-        return total
+    if _is_exact_sequence(seq):
+        (value,), den = _exact_sums(k, seq, (n,), _polynomial_terms(P))
+        return _gaussian_over(value, den)
     total = 0j
     for exps, coeff in P.terms.items():
         prod = coeff.to_complex()
@@ -435,12 +430,80 @@ def coefficient_map(P: ShiftPolynomial, seq, n: int):
     return total
 
 
+def _polynomial_terms(P: ShiftPolynomial) -> list:
+    """The terms of P for _exact_sums: x^i y^j reads order-0 differences at shifts i and j."""
+    return [(c, tuple((0, e) for e in exps)) for exps, c in P.terms.items()]
+
+
+def _exact_sums(k: int, seq, window, plus, minus=()):
+    """Sum of plus minus sum of minus at each n of window, in Gaussian integers.
+
+    A term is (coeff, factors): a GaussianRational and 2k (difference
+    order a, shift s) pairs, the first k read as (Delta^a a)_{n+s} and the
+    last k as their conjugates.  The entries read, zero-extended, are
+    scaled once to Gaussian integers over their common denominator D, and
+    Delta^a of them is tabulated once for every a up to the largest order
+    and every index the shifted factors read.  The coefficients are put
+    over one common denominator L, so every term is an int-pair product
+    carrying the factor L * D^(2k).  Returns the numerators, one (re, im)
+    int pair per n, and that denominator.
+    """
+    window = list(window)
+    terms = [(c, f, 1) for c, f in plus] + [(c, f, -1) for c, f in minus]
+    if not window or not terms:
+        return [(0, 0)] * len(window), 1
+    orders = [a for _, factors, _ in terms for a, _ in factors]
+    shifts = [s for _, factors, _ in terms for _, s in factors]
+    base = min(window) + min(shifts)
+    stop = max(window) + max(shifts) + max(orders)
+    parts = [_exact_parts(entry(seq, j)) for j in range(base, stop + 1)]
+    D = math.lcm(*(x.denominator for pair in parts for x in pair))
+    row = [
+        (re.numerator * (D // re.denominator), im.numerator * (D // im.denominator))
+        for re, im in parts
+    ]
+    # holo[a][j - base] = Delta^a (D a)_j and anti[a] its conjugate
+    holo = [row]
+    for _ in range(max(orders)):
+        row = [(b0 - a0, b1 - a1) for (a0, a1), (b0, b1) in zip(row, row[1:])]
+        holo.append(row)
+    anti = [[(re, -im) for re, im in row] for row in holo]
+    L = math.lcm(*(x.denominator for c, _, _ in terms for x in (c.re, c.im)))
+    scaled = []
+    for c, factors, sign in terms:
+        cre = sign * c.re.numerator * (L // c.re.denominator)
+        cim = sign * c.im.numerator * (L // c.im.denominator)
+        reads = [(holo[a], s - base) for a, s in factors[:k]]
+        reads += [(anti[a], s - base) for a, s in factors[k:]]
+        scaled.append((cre, cim, reads))
+    sums = []
+    for n in window:
+        tre = tim = 0
+        for re, im, reads in scaled:
+            for table, offset in reads:
+                dre, dim = table[n + offset]
+                re, im = re * dre - im * dim, re * dim + im * dre
+            tre += re
+            tim += im
+        sums.append((tre, tim))
+    return sums, L * D ** (2 * k)
+
+
+def _gaussian_over(value, den: int) -> GaussianRational:
+    return GaussianRational(Fraction(value[0], den), Fraction(value[1], den))
+
+
 def _is_exact_sequence(seq) -> bool:
     if isinstance(seq, VerblunskySequence):
         return False
-    return any(isinstance(v, GaussianRational) for v in seq)
+    return any(isinstance(v, (GaussianRational, Fraction)) for v in seq)
 
 
-def _exact_entry(seq, n: int) -> GaussianRational:
-    v = entry(seq, n)
-    return v if isinstance(v, GaussianRational) else GaussianRational.coerce(v)
+def _exact_parts(v):
+    """Real and imaginary parts of an exact entry, as ints or Fractions."""
+    if isinstance(v, GaussianRational):
+        return v.re, v.im
+    if isinstance(v, (int, Fraction)):
+        return v, 0
+    g = GaussianRational.coerce(v)
+    return g.re, g.im

@@ -530,6 +530,44 @@ class TestConfigErrors:
         assert "Traceback" not in err
         assert errors == ["opuckit: error: argument --config: unknown key 'gird'"]
 
+    def test_one_file_scopes_keys_per_subcommand(self, tmp_path, capsys):
+        # a flat {"m": "1,2"} made measure functional exit 2 with
+        # "invalid int value: '1,2'"; a section per subcommand keeps each
+        # --m to its own meaning, and flat keys still reach every subcommand
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sumrule": {"m": "1,2"}, "measure": {"m": 2}, "grid": 256}))
+        out = tmp_path / "rows.csv"
+        family = ["--family", "constant", "--c", "0.5"]
+        args = ["--config", str(cfg), "sumrule", "report", *family, "--n-list", "5"]
+        assert main(args + ["--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[2:]
+        assert [row.split(",")[0] for row in rows] == ["1", "2"]
+        sidecar = json.loads((tmp_path / "rows.csv.config.json").read_text())
+        assert sidecar["m_list"] == [1, 2] and sidecar["grid_size"] == 256
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "measure", "functional", *family]) == 0
+        val = json.loads(capsys.readouterr().out)
+        assert val["m"] == 2 and val["grid"] == 256
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"verify": {"grid": 64}}, "unknown key 'verify.grid'"),
+            ({"verify": 64}, "'verify' must hold a JSON object"),
+        ],
+        ids=["flag-of-another-subcommand", "not-an-object"],
+    )
+    def test_bad_scoped_section_exits_2(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as info:
+            main(["--config", str(cfg), "verify", "--suite", "absorb"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert "Traceback" not in err
+        assert errors == [f"opuckit: error: argument --config: {message}"]
+
     def test_key_of_another_subcommand_is_allowed(self, tmp_path, capsys):
         # --grid and --n-list belong to other subcommands, not to verify
         cfg = tmp_path / "cfg.json"

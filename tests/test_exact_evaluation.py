@@ -1,0 +1,209 @@
+"""The Gaussian-integer evaluator against per-factor GaussianRational oracles.
+
+`coefficient_map`, `evaluate` and `pointwise_equality_check` compute exact
+values from one scaled difference table per window.  The oracles below are
+the direct loops: one GaussianRational product per factor, every difference
+re-derived by `forward_difference`.  The new path must equal them exactly,
+and a corrupted expansion must give the same non-zero deviation, bit for
+bit, since a check that accepts `deviation == 0.0` proves nothing if the
+evaluator could read 0 on a wrong expansion.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from opuckit import normal_form
+from opuckit.normal_form import (
+    NormalFormMonomial,
+    evaluate,
+    from_ideal_expansion,
+    pointwise_equality_check,
+)
+from opuckit.rationals import GR_ZERO, GaussianRational
+from opuckit.sequences import entry, forward_difference
+from opuckit.shift_algebra import ShiftPolynomial, coefficient_map, ideal_power_decompose
+from opuckit.suites import random_ideal_member
+
+FIXED = settings.get_profile("fixed")
+
+
+# -- oracles -----------------------------------------------------------------
+
+
+def oracle_coefficient_map(P: ShiftPolynomial, seq, n: int) -> GaussianRational:
+    k = P.k
+    total = GR_ZERO
+    for exps, coeff in P.terms.items():
+        prod = coeff
+        for slot in range(k):
+            prod = prod * GaussianRational.coerce(entry(seq, n + exps[slot]))
+        for slot in range(k, 2 * k):
+            prod = prod * GaussianRational.coerce(entry(seq, n + exps[slot])).conjugate()
+        total = total + prod
+    return total
+
+
+def oracle_evaluate(mono: NormalFormMonomial, seq, n: int) -> GaussianRational:
+    prod = GaussianRational.coerce(mono.coeff)
+    for a, shift in mono.holo_factors:
+        prod = prod * GaussianRational.coerce(forward_difference(seq, a, n + shift))
+    for b, shift in mono.anti_factors:
+        prod = prod * GaussianRational.coerce(forward_difference(seq, b, n + shift)).conjugate()
+    return prod
+
+
+def oracle_deviation(P: ShiftPolynomial, monomials, seq, window) -> float:
+    worst = 0.0
+    for n in window:
+        rhs = GR_ZERO
+        for mono in monomials:
+            rhs = rhs + oracle_evaluate(mono, seq, n)
+        worst = max(worst, abs((oracle_coefficient_map(P, seq, n) - rhs).to_complex()))
+    return worst
+
+
+# -- strategies --------------------------------------------------------------
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def members(draw):
+    """(k, q, P) with P an explicit member of the q-th diagonal ideal power."""
+    k = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 4))
+    total = ShiftPolynomial.zero(k)
+    for _ in range(draw(st.integers(1, 3))):
+        exps = draw(st.lists(st.integers(-2, 2), min_size=2 * k, max_size=2 * k))
+        term = ShiftPolynomial.monomial(k, exps, GaussianRational(draw(rationals), draw(rationals)))
+        for slot in draw(st.lists(st.integers(0, 2 * k - 1), min_size=q, max_size=q)):
+            gen = [0] * (2 * k)
+            gen[slot] = 1
+            term = term * (ShiftPolynomial.monomial(k, gen) - ShiftPolynomial.one(k))
+        total = total + term
+    return k, q, total
+
+
+
+
+def _exact_sequences(entries):
+    # the first entry makes the sequence exact; ints may sit beside it
+    rest = st.lists(st.one_of(entries, st.integers(-2, 2)), max_size=7)
+    return st.tuples(entries, rest).map(lambda pair: [pair[0]] + pair[1])
+
+
+# entries with mixed denominators: up to 6 in each Gaussian part, up to 10
+# for Fraction entries
+exact_sequences = st.one_of(
+    _exact_sequences(st.builds(GaussianRational, rationals, rationals)),
+    _exact_sequences(st.fractions(min_value=-1, max_value=1, max_denominator=10)),
+)
+
+# windows start at -5..3 and run up to 10 past the start, so they reach
+# negative indices and indices past every prefix drawn above
+windows = st.tuples(st.integers(-5, 3), st.integers(0, 10)).map(
+    lambda w: range(w[0], w[0] + w[1] + 1)
+)
+
+
+# -- properties --------------------------------------------------------------
+
+
+class TestOracleEquality:
+    @settings(FIXED, max_examples=30)
+    @given(member=members(), seq=exact_sequences, window=windows)
+    def test_member_values_equal_the_oracles(self, member, seq, window):
+        k, q, P = member
+        monomials = from_ideal_expansion(ideal_power_decompose(P, q))
+        for n in window:
+            value = coefficient_map(P, seq, n)
+            assert isinstance(value, GaussianRational)
+            assert value == oracle_coefficient_map(P, seq, n)
+            for mono in monomials:
+                assert evaluate(mono, seq, n) == oracle_evaluate(mono, seq, n)
+        assert pointwise_equality_check(P, q, seq, window) == 0.0
+        assert oracle_deviation(P, monomials, seq, window) == 0.0
+
+    @settings(FIXED, max_examples=40)
+    @given(member=members())
+    def test_decomposition_recomposes_to_the_member(self, member):
+        k, q, P = member
+        decomposition = ideal_power_decompose(P, q)
+        assert decomposition.member
+        assert all(sum(t.gen_orders) == q for t in decomposition.terms)
+        assert decomposition.recompose() == P
+
+
+# -- corrupted expansions ----------------------------------------------------
+
+
+def _corrupted_cases(seed: int, bump):
+    """Members on generic exact sequences, with one monomial of the expansion bumped."""
+    rng = random.Random(seed)
+    for _ in range(8):
+        k = rng.choice((1, 2, 3))
+        q = rng.choice((1, 2, 3, 4))
+        P = random_ideal_member(rng, k, q)
+        seq = [
+            GaussianRational(
+                Fraction(rng.randint(1, 9), rng.randint(2, 9)),
+                Fraction(rng.randint(-9, -1), rng.randint(2, 9)),
+            )
+            for _ in range(10)
+        ]
+        monomials = from_ideal_expansion(ideal_power_decompose(P, q))
+        at = rng.randrange(len(monomials))
+        corrupted = monomials[:at] + [bump(monomials[at])] + monomials[at + 1 :]
+        yield P, q, seq, corrupted
+
+
+def _deviation_with(P, q, seq, window, monomials) -> float:
+    with mock.patch.object(normal_form, "from_ideal_expansion", lambda decomposition: monomials):
+        return pointwise_equality_check(P, q, seq, window)
+
+
+def _bump_coefficient(mono: NormalFormMonomial) -> NormalFormMonomial:
+    coeff = mono.coeff + GaussianRational(Fraction(1, 7), Fraction(-2, 3))
+    return NormalFormMonomial(mono.k, mono.holo_factors, mono.anti_factors, coeff)
+
+
+def _bump_shift(mono: NormalFormMonomial) -> NormalFormMonomial:
+    (a, shift), *rest = mono.holo_factors
+    return NormalFormMonomial(mono.k, ((a, shift + 1), *rest), mono.anti_factors, mono.coeff)
+
+
+class TestCorruptedExpansions:
+    WINDOW = range(-2, 10)
+
+    def test_bumped_coefficient_gives_the_oracle_deviation(self):
+        for P, q, seq, monomials in _corrupted_cases(710, _bump_coefficient):
+            dev = _deviation_with(P, q, seq, self.WINDOW, monomials)
+            assert dev != 0.0
+            assert dev == oracle_deviation(P, monomials, seq, self.WINDOW)
+
+    def test_bumped_shift_gives_the_oracle_deviation(self):
+        for P, q, seq, monomials in _corrupted_cases(711, _bump_shift):
+            dev = _deviation_with(P, q, seq, self.WINDOW, monomials)
+            assert dev != 0.0
+            assert dev == oracle_deviation(P, monomials, seq, self.WINDOW)
+
+
+# -- Fraction entries are exact ---------------------------------------------
+
+
+def test_fraction_sequence_is_checked_exactly():
+    # evaluated in floats before Fraction entries counted as exact: the
+    # check returned 2.220446049250313e-16 here
+    x, y = ShiftPolynomial.x(1, 1), ShiftPolynomial.y(1, 1)
+    P = 3 * ShiftPolynomial.monomial(1, (2, -1)) * (x - 1) * (y - 1)
+    seq = [Fraction(1, 3), Fraction(2, 7), Fraction(-5, 11), Fraction(1, 9), Fraction(3, 13)] * 3
+    assert pointwise_equality_check(P, 2, seq, range(0, 12)) == 0.0
+    value = coefficient_map(P, seq, 1)
+    assert isinstance(value, GaussianRational)
+    assert value == oracle_coefficient_map(P, seq, 1)
