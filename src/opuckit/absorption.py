@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .normal_form import NormalFormMonomial, evaluate
+from .normal_form import NormalFormMonomial, _monomial_term
 from .sequences import VerblunskySequence, difference_array, lp_norm, lukic_partial_sums
+from .shift_algebra import _table_sums
 
 
 @dataclass(frozen=True)
@@ -82,15 +83,13 @@ def critical_orders(m: int, k: int) -> list[int]:
     return [q + (i < r) for i in range(2 * k)]
 
 
-def gn_ratio_probe(
-    seq, m: int, r: int, N: int, regularize: bool = True
-) -> float:
+def gn_ratio_probe(seq, m: int, r: int, N: int) -> float:
     """||Delta^r a||_{p_r} over [0, N] against the interpolation product.
 
-    Returns the ratio to A^{r/m} B^{1-r/m} (+1 when regularize is on), with
-    A, B the two energy roots over [0, N+m].  Scale-invariant exactly once
-    the regularizer is off.  Used to probe the interpolation constant
-    empirically; no bound is asserted.
+    Returns the ratio to A^{r/m} B^{1-r/m} + 1, with A, B the two energy
+    roots over [0, N+m]; the +1 keeps the ratio finite on sequences whose
+    energies over the window vanish, at the cost of scale invariance.  Used
+    to probe the interpolation constant empirically; no bound is asserted.
     """
     if not 0 < r < m:
         raise ValueError("need 0 < r < m")
@@ -105,11 +104,7 @@ def gn_ratio_probe(
     report = lukic_partial_sums(seq, m, N + L)
     A = report.diff_energy ** 0.5
     B = report.power_energy ** (1.0 / (2 * m + 2))
-    denom = A ** (r / m) * B ** (1.0 - r / m)
-    if regularize:
-        denom += 1.0
-    elif denom == 0.0:
-        raise ZeroDivisionError("both energies vanish; disable only with nonzero energies")
+    denom = A ** (r / m) * B ** (1.0 - r / m) + 1.0
     return float(num / denom)
 
 
@@ -120,11 +115,12 @@ def shift_allowance(monomial: NormalFormMonomial) -> int:
 
 
 def monomial_sum(monomial: NormalFormMonomial, seq, N: int) -> float:
-    """|sum_{n=0}^{N} M_n| for a float sequence."""
-    mono = monomial.as_float()
+    """|sum_{n=0}^{N} M_n| for a float sequence, from one difference table."""
+    term = _monomial_term(monomial.as_float())
+    (values,), _ = _table_sums(monomial.k, seq, range(N + 1), [term])
     total = 0j
-    for n in range(N + 1):
-        total += evaluate(mono, seq, n)
+    for value in values:
+        total += complex(*value)
     return abs(total)
 
 

@@ -161,6 +161,8 @@ def trig_moments(measure: MeasureSpec, kmax: int, grid_size: int = DEFAULT_GRID)
     else:
         w = np.asarray(measure.weights, dtype=np.float64)
     G = len(w)
+    if kmax < 0:
+        raise ValueError(f"kmax must be >= 0, got {kmax}")
     if kmax >= G // 2:
         raise ValueError("kmax must stay below half the grid size")
     return np.fft.fft(w)[: kmax + 1] / G

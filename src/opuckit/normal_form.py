@@ -4,13 +4,12 @@ A normal-form monomial of degree 2k is
 
     coeff * prod_nu (Delta^{a_nu} a)_{n+l_nu} * prod_mu (Delta^{b_mu} conj(a))_{n+r_mu},
 
-the atom into which every diagonal-ideal expansion converts.  The module
-carries a dual numeric representation with one API: exact Gaussian-rational
-coefficients over exact sequences (GaussianRational or Fraction entries; the
-test oracle) and complex floats over float sequences (the experiment
-engine).  Exact values are computed in Gaussian integers: the sequence is
-scaled once over a common denominator and its differences are tabulated once
-per window of indices.
+the atom into which every diagonal-ideal expansion converts.  Values come
+from one table evaluator for both kinds of scalar: exact (a GaussianRational)
+over sequences with GaussianRational or Fraction entries, the test oracle,
+and complex over float sequences, the experiment engine.  The differences
+of a sequence are tabulated once per window of indices; exact entries are
+first scaled to Gaussian integers over a common denominator.
 
 Also here: the discrete Leibniz expansion of Delta^q over a product, the
 discrete summation-by-parts identity, and explicit telescoping bookkeeping,
@@ -25,16 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rationals import GaussianRational
-from .sequences import forward_difference
 from .shift_algebra import (
     IdealDecomposition,
     ShiftPolynomial,
-    coefficient_map,
     ideal_power_decompose,
-    _exact_sums,
-    _gaussian_over,
-    _is_exact_sequence,
     _polynomial_terms,
+    _scalar,
+    _table_sums,
 )
 
 
@@ -136,57 +132,34 @@ def evaluate(monomial: NormalFormMonomial, seq, n: int):
     with the real-coefficient differences, so the antiholomorphic factors
     are conjugated after differencing.
     """
-    if _is_exact_sequence(seq):
-        (value,), den = _exact_sums(monomial.k, seq, (n,), [_monomial_term(monomial)])
-        return _gaussian_over(value, den)
-    coeff = monomial.coeff
-    if isinstance(coeff, GaussianRational):
-        coeff = coeff.to_complex()
-    prod = complex(coeff)
-    for a, shift in monomial.holo_factors:
-        prod *= complex(forward_difference(seq, a, n + shift))
-    for b, shift in monomial.anti_factors:
-        prod *= complex(forward_difference(seq, b, n + shift)).conjugate()
-    return prod
+    (values,), den = _table_sums(monomial.k, seq, (n,), [_monomial_term(monomial)])
+    return _scalar(values[0], den)
 
 
 def _monomial_term(monomial: NormalFormMonomial) -> tuple:
-    return (
-        GaussianRational.coerce(monomial.coeff),
-        monomial.holo_factors + monomial.anti_factors,
-    )
+    return monomial.coeff, monomial.holo_factors + monomial.anti_factors
 
 
 def pointwise_equality_check(P: ShiftPolynomial, q: int, seq, window) -> float:
     """Max |coefficient_map(P) - sum of normal-form evaluations| over the window.
 
-    Exactly 0.0 on an exact sequence (GaussianRational or Fraction
-    entries), where both sides are compared in Gaussian integers from one
-    difference table for the whole window; propagates the membership
+    Both sides come from one difference table for the whole window.  Exactly
+    0.0 on an exact sequence (GaussianRational or Fraction entries), where
+    they are compared in Gaussian integers; propagates the membership
     failure if P is not in the declared ideal power.
     """
     decomposition = ideal_power_decompose(P, q)
     monomials = from_ideal_expansion(decomposition)
     if isinstance(window, tuple) and len(window) == 2:
         window = range(window[0], window[1] + 1)
+    (lhs, rhs), den = _table_sums(
+        P.k, seq, window, _polynomial_terms(P), [_monomial_term(m) for m in monomials]
+    )
     worst = 0.0
-    if _is_exact_sequence(seq):
-        sums, den = _exact_sums(
-            P.k, seq, window, _polynomial_terms(P), [_monomial_term(m) for m in monomials]
-        )
-        for dev in sums:
-            if dev != (0, 0):
-                worst = max(worst, abs(_gaussian_over(dev, den).to_complex()))
-        return worst
-    for n in window:
-        lhs = coefficient_map(P, seq, n)
-        rhs = None
-        for mono in monomials:
-            val = evaluate(mono, seq, n)
-            rhs = val if rhs is None else rhs + val
-        if rhs is None:
-            rhs = 0
-        worst = max(worst, abs(complex(lhs - rhs)))
+    for (lre, lim), (rre, rim) in zip(lhs, rhs):
+        dev = (lre - rre, lim - rim)
+        if dev != (0, 0):
+            worst = max(worst, abs(complex(_scalar(dev, den))))
     return worst
 
 

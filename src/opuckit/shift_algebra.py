@@ -3,9 +3,9 @@
 A balanced degree-2k local expression in a sequence a and its conjugate is
 encoded as a Laurent polynomial: the monomial x^i y^j stands for the local
 product a_{n+i_1}...a_{n+i_k} * conj(a)_{n+j_1}...conj(a)_{n+j_mu}.  All
-coefficients are Gaussian rationals; floating point never enters this
-module, because ideal membership and moment cancellation are exact
-statements.
+coefficients are Gaussian rationals and the algebra never rounds, because
+ideal membership and moment cancellation are exact statements; floats enter
+only when the coefficient map evaluates on a float sequence.
 
 The diagonal ideal is generated by x_nu - 1 and y_mu - 1.  Membership of P
 in its q-th power is equivalent to the vanishing of every Euler moment of
@@ -410,86 +410,110 @@ def coefficient_map(P: ShiftPolynomial, seq, n: int):
 
     Each monomial x^i y^j contributes coeff * prod a_{n+i_nu} * prod
     conj(a)_{n+j_mu}, with the zero extension for out-of-range indices.
-    Float sequences give a complex value.  Sequences with GaussianRational
-    or Fraction entries (ints may sit beside them) are exact: the value is
-    a GaussianRational, computed in Gaussian integers over one common
-    denominator.
+    The value comes from the table evaluator `_table_sums`: a complex over
+    a float sequence, and over a sequence with GaussianRational or Fraction
+    entries (ints may sit beside them) an exact GaussianRational.
     """
-    k = P.k
-    if _is_exact_sequence(seq):
-        (value,), den = _exact_sums(k, seq, (n,), _polynomial_terms(P))
-        return _gaussian_over(value, den)
-    total = 0j
-    for exps, coeff in P.terms.items():
-        prod = coeff.to_complex()
-        for slot in range(k):
-            prod *= complex(entry(seq, n + exps[slot]))
-        for slot in range(k, 2 * k):
-            prod *= complex(entry(seq, n + exps[slot])).conjugate()
-        total += prod
-    return total
+    (values,), den = _table_sums(P.k, seq, (n,), _polynomial_terms(P))
+    return _scalar(values[0], den)
 
 
 def _polynomial_terms(P: ShiftPolynomial) -> list:
-    """The terms of P for _exact_sums: x^i y^j reads order-0 differences at shifts i and j."""
+    """The terms of P for _table_sums: x^i y^j reads order-0 differences at shifts i and j."""
     return [(c, tuple((0, e) for e in exps)) for exps, c in P.terms.items()]
 
 
-def _exact_sums(k: int, seq, window, plus, minus=()):
-    """Sum of plus minus sum of minus at each n of window, in Gaussian integers.
+def _table_sums(k: int, seq, window, *groups):
+    """Sum of each group of terms at each n of window, from one difference table.
 
-    A term is (coeff, factors): a GaussianRational and 2k (difference
-    order a, shift s) pairs, the first k read as (Delta^a a)_{n+s} and the
-    last k as their conjugates.  The entries read, zero-extended, are
-    scaled once to Gaussian integers over their common denominator D, and
-    Delta^a of them is tabulated once for every a up to the largest order
-    and every index the shifted factors read.  The coefficients are put
-    over one common denominator L, so every term is an int-pair product
-    carrying the factor L * D^(2k).  Returns the numerators, one (re, im)
-    int pair per n, and that denominator.
+    A term is (coeff, factors): a scalar and 2k (difference order a, shift
+    s) pairs, the first k read as (Delta^a a)_{n+s} and the last k as their
+    conjugates.  Scaling is the only step that depends on the kind of
+    scalar.  Over an exact sequence the entries read, zero-extended, are
+    scaled to Gaussian integers over their common denominator D and the
+    coefficients over theirs, L, so every term is an int-pair product
+    carrying the factor L * D^(2k), and that denominator is returned.  Over
+    a float sequence entries and coefficients stay (re, im) float pairs and
+    the denominator is None.  Delta^a is tabulated once per window for each
+    order a the terms read, in the binomial form `forward_difference` uses,
+    and each product runs coefficient first, then the factors in order, as
+    complex multiplication does, so a float sum is the same float as the
+    per-factor complex loop's (up to the sign of a zero).  Returns one list
+    of (re, im) sums per group, one pair per n, and the denominator.
     """
+    exact = _is_exact_sequence(seq)
     window = list(window)
-    terms = [(c, f, 1) for c, f in plus] + [(c, f, -1) for c, f in minus]
-    if not window or not terms:
-        return [(0, 0)] * len(window), 1
-    orders = [a for _, factors, _ in terms for a, _ in factors]
-    shifts = [s for _, factors, _ in terms for _, s in factors]
+    factor_lists = [factors for terms in groups for _, factors in terms]
+    if not window or not factor_lists:
+        return [[(0, 0)] * len(window) for _ in groups], 1 if exact else None
+    orders = {a for factors in factor_lists for a, _ in factors}
+    shifts = [s for factors in factor_lists for _, s in factors]
     base = min(window) + min(shifts)
     stop = max(window) + max(shifts) + max(orders)
-    parts = [_exact_parts(entry(seq, j)) for j in range(base, stop + 1)]
-    D = math.lcm(*(x.denominator for pair in parts for x in pair))
-    row = [
-        (re.numerator * (D // re.denominator), im.numerator * (D // im.denominator))
-        for re, im in parts
-    ]
-    # holo[a][j - base] = Delta^a (D a)_j and anti[a] its conjugate
-    holo = [row]
-    for _ in range(max(orders)):
-        row = [(b0 - a0, b1 - a1) for (a0, a1), (b0, b1) in zip(row, row[1:])]
-        holo.append(row)
-    anti = [[(re, -im) for re, im in row] for row in holo]
-    L = math.lcm(*(x.denominator for c, _, _ in terms for x in (c.re, c.im)))
-    scaled = []
-    for c, factors, sign in terms:
-        cre = sign * c.re.numerator * (L // c.re.denominator)
-        cim = sign * c.im.numerator * (L // c.im.denominator)
-        reads = [(holo[a], s - base) for a, s in factors[:k]]
-        reads += [(anti[a], s - base) for a, s in factors[k:]]
-        scaled.append((cre, cim, reads))
+    values = [entry(seq, j) for j in range(base, stop + 1)]
+    coeffs = [c for terms in groups for c, _ in terms]
+    if exact:
+        parts = [_exact_parts(v) for v in values]
+        D = math.lcm(*(x.denominator for pair in parts for x in pair))
+        row = [_over(re, im, D) for re, im in parts]
+        coeffs = [GaussianRational.coerce(c) for c in coeffs]
+        L = math.lcm(*(x.denominator for c in coeffs for x in (c.re, c.im)))
+        coeffs = [_over(c.re, c.im, L) for c in coeffs]
+        den = L * D ** (2 * k)
+    else:
+        row = [(z.real, z.imag) for z in map(complex, values)]
+        coeffs = [(z.real, z.imag) for z in map(complex, coeffs)]
+        den = None
+    # holo[a][j - base] = Delta^a a_j (scaled) and anti[a] its conjugate
+    holo = {a: _difference_row(row, a) for a in orders}
+    anti_orders = {a for factors in factor_lists for a, _ in factors[k:]}
+    anti = {a: [(re, -im) for re, im in holo[a]] for a in anti_orders}
+    coeffs = iter(coeffs)
     sums = []
-    for n in window:
-        tre = tim = 0
-        for re, im, reads in scaled:
-            for table, offset in reads:
-                dre, dim = table[n + offset]
-                re, im = re * dre - im * dim, re * dim + im * dre
-            tre += re
-            tim += im
-        sums.append((tre, tim))
-    return sums, L * D ** (2 * k)
+    for terms in groups:
+        scaled = []
+        for _, factors in terms:
+            reads = [(holo[a], s - base) for a, s in factors[:k]]
+            reads += [(anti[a], s - base) for a, s in factors[k:]]
+            scaled.append((*next(coeffs), reads))
+        group = []
+        for n in window:
+            tre = tim = 0
+            for re, im, reads in scaled:
+                for table, offset in reads:
+                    dre, dim = table[n + offset]
+                    re, im = re * dre - im * dim, re * dim + im * dre
+                tre += re
+                tim += im
+            group.append((tre, tim))
+        sums.append(group)
+    return sums, den
 
 
-def _gaussian_over(value, den: int) -> GaussianRational:
+def _difference_row(row: list, a: int) -> list:
+    """Delta^a of a row of (re, im) pairs, as forward_difference computes it.
+
+    Order 0 is the row itself; above it, sum_j (-1)^(a-j) C(a, j) row[i+j]
+    at each i, accumulated from 0 in ascending j.
+    """
+    if a == 0:
+        return row
+    out = [(0, 0)] * (len(row) - a)
+    for j in range(a + 1):
+        w = (-1) ** (a - j) * math.comb(a, j)
+        out = [(re + w * xre, im + w * xim) for (re, im), (xre, xim) in zip(out, row[j:])]
+    return out
+
+
+def _over(re, im, den: int) -> tuple:
+    """The numerators of re + i im over den, a multiple of both denominators."""
+    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
+
+
+def _scalar(value, den):
+    """A (re, im) sum of _table_sums as a complex (den None) or a GaussianRational."""
+    if den is None:
+        return complex(*value)
     return GaussianRational(Fraction(value[0], den), Fraction(value[1], den))
 
 

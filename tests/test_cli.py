@@ -480,9 +480,11 @@ class TestBadInput:
             ["sumrule", "report", "--family", "explicit"],
             ["absorb", "probe", "--family", "power", "--c", "0.5", "--m", "2"],
             ["absorb", "probe", "--family", "power", "--c", "0.5", "--m", "3", "--k", "0"],
+            ["measure", "moments", "--family", "power", "--c", "0.5", "--gamma", "1",
+             "--n", "3", "--grid", "64", "--kmax", "-5"],
         ],
         ids=["no-family", "generate-no-family", "measure-no-family", "explicit-no-values",
-             "absorb-no-probe", "absorb-k-0"],
+             "absorb-no-probe", "absorb-k-0", "moments-negative-kmax"],
     )
     def test_exits_2_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2

@@ -1,12 +1,14 @@
-"""The Gaussian-integer evaluator against per-factor GaussianRational oracles.
+"""The difference-table evaluator against per-factor oracles, exact and float.
 
-`coefficient_map`, `evaluate` and `pointwise_equality_check` compute exact
-values from one scaled difference table per window.  The oracles below are
-the direct loops: one GaussianRational product per factor, every difference
-re-derived by `forward_difference`.  The new path must equal them exactly,
-and a corrupted expansion must give the same non-zero deviation, bit for
-bit, since a check that accepts `deviation == 0.0` proves nothing if the
-evaluator could read 0 on a wrong expansion.
+`coefficient_map`, `evaluate`, `pointwise_equality_check` and
+`monomial_sum` compute their values from one difference table per window.
+The oracles below are the direct loops: one product per factor, every
+difference re-derived by `forward_difference`, in GaussianRational over
+exact sequences and in complex floats over float ones.  The table path must
+equal them exactly (floats up to the sign of a zero), and a corrupted
+expansion must give the same non-zero deviation, bit for bit, since a
+check that accepts `deviation == 0.0` proves nothing if the evaluator could
+read 0 on a wrong expansion.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opuckit import normal_form
+from opuckit.absorption import monomial_sum
 from opuckit.normal_form import (
     NormalFormMonomial,
     evaluate,
@@ -26,7 +30,7 @@ from opuckit.normal_form import (
     pointwise_equality_check,
 )
 from opuckit.rationals import GR_ZERO, GaussianRational
-from opuckit.sequences import entry, forward_difference
+from opuckit.sequences import VerblunskySequence, entry, forward_difference
 from opuckit.shift_algebra import ShiftPolynomial, coefficient_map, ideal_power_decompose
 from opuckit.suites import random_ideal_member
 
@@ -65,6 +69,41 @@ def oracle_deviation(P: ShiftPolynomial, monomials, seq, window) -> float:
         for mono in monomials:
             rhs = rhs + oracle_evaluate(mono, seq, n)
         worst = max(worst, abs((oracle_coefficient_map(P, seq, n) - rhs).to_complex()))
+    return worst
+
+
+def oracle_float_coefficient_map(P: ShiftPolynomial, seq, n: int) -> complex:
+    k = P.k
+    total = 0j
+    for exps, coeff in P.terms.items():
+        prod = coeff.to_complex()
+        for slot in range(k):
+            prod *= complex(entry(seq, n + exps[slot]))
+        for slot in range(k, 2 * k):
+            prod *= complex(entry(seq, n + exps[slot])).conjugate()
+        total += prod
+    return total
+
+
+def oracle_float_evaluate(mono: NormalFormMonomial, seq, n: int) -> complex:
+    coeff = mono.coeff
+    if isinstance(coeff, GaussianRational):
+        coeff = coeff.to_complex()
+    prod = complex(coeff)
+    for a, shift in mono.holo_factors:
+        prod *= complex(forward_difference(seq, a, n + shift))
+    for b, shift in mono.anti_factors:
+        prod *= complex(forward_difference(seq, b, n + shift)).conjugate()
+    return prod
+
+
+def oracle_float_deviation(P: ShiftPolynomial, monomials, seq, window) -> float:
+    worst = 0.0
+    for n in window:
+        rhs = 0j
+        for mono in monomials:
+            rhs += oracle_float_evaluate(mono, seq, n)
+        worst = max(worst, abs(oracle_float_coefficient_map(P, seq, n) - rhs))
     return worst
 
 
@@ -112,6 +151,38 @@ windows = st.tuples(st.integers(-5, 3), st.integers(0, 10)).map(
 )
 
 
+# float entries inside the unit disc, signed zeros included; a sequence is a
+# VerblunskySequence, a list (complex or real entries) or a complex ndarray
+_parts = st.floats(min_value=-0.7, max_value=0.7)
+
+
+def _float_sequences(max_size):
+    entries = st.lists(st.builds(complex, _parts, _parts), max_size=max_size)
+    return st.one_of(
+        entries.map(lambda v: VerblunskySequence(tuple(v))),
+        entries,
+        st.lists(_parts, max_size=max_size),
+        entries.map(lambda v: np.array(v, dtype=np.complex128)),
+    )
+
+
+float_sequences = _float_sequences(8)
+
+
+@st.composite
+def float_monomials(draw):
+    """A monomial with k <= 3, difference orders <= 4 and a complex or exact coefficient."""
+    k = draw(st.integers(1, 3))
+    factors = st.lists(st.tuples(st.integers(0, 4), st.integers(-2, 2)), min_size=k, max_size=k)
+    coeff = draw(
+        st.one_of(
+            st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)),
+            st.builds(GaussianRational, rationals, rationals),
+        )
+    )
+    return NormalFormMonomial(k, tuple(draw(factors)), tuple(draw(factors)), coeff)
+
+
 # -- properties --------------------------------------------------------------
 
 
@@ -138,6 +209,38 @@ class TestOracleEquality:
         assert decomposition.member
         assert all(sum(t.gen_orders) == q for t in decomposition.terms)
         assert decomposition.recompose() == P
+
+
+class TestFloatOracleEquality:
+    @settings(FIXED, max_examples=60)
+    @given(member=members(), seq=float_sequences, window=windows)
+    def test_member_values_equal_the_float_oracles(self, member, seq, window):
+        k, q, P = member
+        monomials = from_ideal_expansion(ideal_power_decompose(P, q))
+        for n in window:
+            value = coefficient_map(P, seq, n)
+            assert isinstance(value, complex)
+            assert value == oracle_float_coefficient_map(P, seq, n)
+            for mono in monomials:
+                assert evaluate(mono, seq, n) == oracle_float_evaluate(mono, seq, n)
+        deviation = pointwise_equality_check(P, q, seq, window)
+        assert deviation == oracle_float_deviation(P, monomials, seq, window)
+
+    @settings(FIXED, max_examples=60)
+    @given(mono=float_monomials(), seq=float_sequences, window=windows)
+    def test_monomial_values_equal_the_float_oracle(self, mono, seq, window):
+        for n in window:
+            value = evaluate(mono, seq, n)
+            assert isinstance(value, complex)
+            assert value == oracle_float_evaluate(mono, seq, n)
+
+    @settings(FIXED, max_examples=60)
+    @given(mono=float_monomials(), seq=_float_sequences(40), N=st.integers(0, 45))
+    def test_monomial_sum_is_the_sequential_oracle_sum(self, mono, seq, N):
+        total = 0j
+        for n in range(N + 1):
+            total += oracle_float_evaluate(mono.as_float(), seq, n)
+        assert monomial_sum(mono, seq, N) == abs(total)
 
 
 # -- corrupted expansions ----------------------------------------------------

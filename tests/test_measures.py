@@ -105,6 +105,14 @@ class TestMoments:
         rec = verblunsky_from_moments(mom)
         assert max(abs(a - b) for a, b in zip(prefix.values, rec.values)) <= 1e-7
 
+    def test_kmax_guard(self):
+        spec = MeasureSpec.bernstein_szego([0.5])
+        # a negative kmax once sliced the FFT from its end: -5 gave G - 4 moments
+        for kmax in (-1, -5, 32):
+            with pytest.raises(ValueError):
+                trig_moments(spec, kmax, 64)
+        assert len(trig_moments(spec, 0, 64)) == 1
+
     def test_positivity_failure_carries_index(self):
         # c_1 = 1 forces |alpha_0| = 1
         with pytest.raises(MomentPositivityError) as info:
