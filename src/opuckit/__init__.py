@@ -18,6 +18,7 @@ from .absorption import (
     GNExponent,
     HolderBudget,
     absorption_inequality_probe,
+    absorption_probes,
     critical_orders,
     fit_absorption_constant,
     gn_exponent,

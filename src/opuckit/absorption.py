@@ -116,12 +116,22 @@ def shift_allowance(monomial: NormalFormMonomial) -> int:
 
 def monomial_sum(monomial: NormalFormMonomial, seq, N: int) -> float:
     """|sum_{n=0}^{N} M_n| for a float sequence, from one difference table."""
+    return _monomial_sums(monomial, seq, [N])[N]
+
+
+def _monomial_sums(monomial: NormalFormMonomial, seq, n_values: list) -> dict:
+    """{N: |sum_{n=0}^{N} M_n|} for every N of n_values, from one table over [0, max N].
+
+    The windows [0, N] are nested, so one running sum, read at N + 1 terms,
+    gives each value as the same float monomial_sum(N) gives on its own.
+    """
     term = _monomial_term(monomial.as_float())
-    (values,), _ = _table_sums(monomial.k, seq, range(N + 1), [term])
-    total = 0j
+    last = max(n_values, default=-1)
+    (values,), _ = _table_sums(monomial.k, seq, range(last + 1), [term])
+    totals = [0j]
     for value in values:
-        total += complex(*value)
-    return abs(total)
+        totals.append(totals[-1] + complex(*value))
+    return {N: abs(totals[max(N + 1, 0)]) for N in n_values}
 
 
 def _check_critical(monomial: NormalFormMonomial, m: int):
@@ -146,6 +156,34 @@ class AbsorptionProbe:
     N: int
 
 
+def _probe_terms(monomial: NormalFormMonomial, seq, m: int, n_values: list) -> dict:
+    """{N: (|sum_{n<=N} M_n|, diff + power energy over [0, N+L])}, each N once."""
+    _check_critical(monomial, m)
+    L = shift_allowance(monomial)
+    sums = _monomial_sums(monomial, seq, n_values)
+    terms = {}
+    for N in n_values:
+        if N not in terms:
+            rep = lukic_partial_sums(seq, m, N + L)
+            terms[N] = (sums[N], rep.diff_energy + rep.power_energy)
+    return terms
+
+
+def _fitted_constant(terms: dict, epsilon: float) -> float:
+    worst = 0.0
+    for lhs, energy in terms.values():
+        worst = max(worst, lhs - epsilon * energy)
+    return worst
+
+
+def _probe(terms: dict, N: int, epsilon: float, constant: float) -> AbsorptionProbe:
+    lhs, energy = terms[N]
+    rhs = epsilon * energy + constant
+    return AbsorptionProbe(
+        lhs=lhs, rhs=rhs, passed=lhs <= rhs, constant=constant, epsilon=epsilon, N=N
+    )
+
+
 def fit_absorption_constant(
     monomial: NormalFormMonomial, seq, m: int, epsilon: float, n_values: Iterable[int]
 ) -> float:
@@ -154,14 +192,7 @@ def fit_absorption_constant(
     Fitted over the declared family of volumes and floored at zero; store it
     next to the family descriptor for reproducibility.
     """
-    _check_critical(monomial, m)
-    L = shift_allowance(monomial)
-    worst = 0.0
-    for N in n_values:
-        lhs = monomial_sum(monomial, seq, N)
-        rep = lukic_partial_sums(seq, m, N + L)
-        worst = max(worst, lhs - epsilon * (rep.diff_energy + rep.power_energy))
-    return worst
+    return _fitted_constant(_probe_terms(monomial, seq, m, list(n_values)), epsilon)
 
 
 def absorption_inequality_probe(
@@ -179,14 +210,22 @@ def absorption_inequality_probe(
     inequality itself is existential, so pass/fail is a probe, not a theorem
     check.
     """
-    _check_critical(monomial, m)
-    L = shift_allowance(monomial)
-    lhs = monomial_sum(monomial, seq, N)
-    rep = lukic_partial_sums(seq, m, N + L)
-    rhs = epsilon * (rep.diff_energy + rep.power_energy) + constant
-    return AbsorptionProbe(
-        lhs=lhs, rhs=rhs, passed=lhs <= rhs, constant=constant, epsilon=epsilon, N=N
-    )
+    return _probe(_probe_terms(monomial, seq, m, [N]), N, epsilon, constant)
+
+
+def absorption_probes(
+    monomial: NormalFormMonomial, seq, m: int, epsilon: float, n_values: Iterable[int]
+) -> list[AbsorptionProbe]:
+    """absorption_inequality_probe at every N of n_values, with C fitted over them.
+
+    The rows of `absorb probe --k`: one difference table over [0, max N] and
+    one energy per distinct N serve the fit and every row, and each row
+    equals the fit_absorption_constant + absorption_inequality_probe pair.
+    """
+    n_values = list(n_values)
+    terms = _probe_terms(monomial, seq, m, n_values)
+    constant = _fitted_constant(terms, epsilon)
+    return [_probe(terms, N, epsilon, constant) for N in n_values]
 
 
 def scaling_relation_residual(m: int, r: int) -> Fraction:

@@ -137,8 +137,9 @@ def cmd_sumrule(args) -> int:
     _emit("\n".join(lines) + "\n", args.out)
     if args.out:
         sidecar = {"family": family.to_dict(), **json.loads(config.to_json())}
+        # one line: without indent= json runs its C encoder, with it the Python one
         with open(args.out + ".config.json", "w") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
+            fh.write(json.dumps(sidecar, sort_keys=True) + "\n")
     return 0
 
 
@@ -177,6 +178,11 @@ def cmd_absorb(args) -> int:
     family = _family_from_args(args)
     n_list = _parse_int_list(args.n_list)
     m = int(args.m)
+    for N in n_list:
+        if N < 0:
+            raise ValueError(f"--n-list entries must be >= 0, got N = {N}")
+    if not args.epsilon > 0:
+        raise ValueError(f"--epsilon must be > 0, got {args.epsilon}")
     lines = [VERSION_HEADER, "family,m,param,N,ratio,lhs,rhs,passed"]
     label = family.label().replace(",", ";")
     # one sequence for every N, generated as long as the largest N reads;
@@ -197,14 +203,9 @@ def cmd_absorb(args) -> int:
             1.0,
         )
         fit_seq = family.generate(max(n_list) + 2 * m + 2)
-        constant = absorption.fit_absorption_constant(mono, fit_seq, m, args.epsilon, n_list)
-        for N in n_list:
-            seq = fit_seq.truncated(N + 2 * m + 3)
-            probe = absorption.absorption_inequality_probe(
-                mono, seq, m, N, args.epsilon, constant
-            )
+        for probe in absorption.absorption_probes(mono, fit_seq, m, args.epsilon, n_list):
             lines.append(
-                f"{label},{m},k={k},{N},,{probe.lhs!r},{probe.rhs!r},{probe.passed}"
+                f"{label},{m},k={k},{probe.N},,{probe.lhs!r},{probe.rhs!r},{probe.passed}"
             )
     else:
         raise ValueError("absorb probe needs --r (GN ratio) or --k (monomial probe)")

@@ -12,7 +12,9 @@ order m of one pass.  Composite trapezoid quadrature on a theta grid
 (szego_functional) is the route for sampled weights and the library oracle
 for the series; it converges slowly once zeros of phi*_N come close to the
 circle.  All Bernstein-Szego grid evaluations run in log space so that long
-non-square-summable prefixes cannot overflow the recursion.
+non-square-summable prefixes cannot overflow the recursion.  Trigonometric
+moments of a Bernstein-Szego prefix need no grid: they come from powers of
+its CMV matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._kernels import log_phistar_abs
-from .sequences import VerblunskySequence
+from .sequences import VerblunskySequence, zero_extended
 
 DEFAULT_GRID = 4096
 
@@ -155,17 +157,54 @@ def bernstein_szego_weight(prefix, grid_size: int = DEFAULT_GRID) -> np.ndarray:
 
 
 def trig_moments(measure: MeasureSpec, kmax: int, grid_size: int = DEFAULT_GRID) -> np.ndarray:
-    """Trigonometric moments c_k = integral e^{-ik theta} dmu for k = 0..kmax."""
-    if measure.kind == "bernstein_szego":
-        w = bernstein_szego_weight(measure.prefix, grid_size)
-    else:
-        w = np.asarray(measure.weights, dtype=np.float64)
-    G = len(w)
+    """Trigonometric moments c_k = integral e^{-ik theta} dmu for k = 0..kmax.
+
+    Sampled weights give the FFT of their samples.  A Bernstein-Szego
+    prefix gives exact moments (up to rounding) with no grid, from its CMV
+    matrix; grid_size then only bounds kmax.
+    """
+    G = grid_size if measure.kind == "bernstein_szego" else len(measure.weights)
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     if kmax >= G // 2:
         raise ValueError("kmax must stay below half the grid size")
-    return np.fft.fft(w)[: kmax + 1] / G
+    if measure.kind == "bernstein_szego":
+        return _cmv_moments(measure.prefix, kmax)
+    return np.fft.fft(np.asarray(measure.weights, dtype=np.float64))[: kmax + 1] / G
+
+
+def _cmv_moments(prefix: VerblunskySequence, kmax: int) -> np.ndarray:
+    """c_k = conj <delta_0, C^k delta_0> for the CMV matrix C = L M, k = 0..kmax.
+
+    L = Theta_0 + Theta_2 + ..., M = 1 + Theta_1 + Theta_3 + ... (direct
+    sums), Theta_j = [[conj a_j, rho_j], [rho_j, -a_j]], rho_j =
+    sqrt(1 - |a_j|^2) (Simon, OPUC Part 1, section 4.2; Cantero, Moral and
+    Velazquez, Linear Algebra Appl. 362, 2003).  c_0..c_kmax depend on
+    a_0..a_{kmax-1} only, and C is five-diagonal, so C^k delta_0 lives on
+    indices 0..2k: the leading 2 kmax + 2 rows of C, from the prefix cut or
+    zero-extended to that length, give them exactly.  C is unitary, so each
+    step is two pair updates on a unit vector and nothing grows, unlike the
+    inverse Levinson recursion.
+    """
+    size = 2 * kmax + 2
+    a = zero_extended(prefix, 0, size)
+    rho = np.sqrt(1.0 - (a.real * a.real + a.imag * a.imag))
+    # M pairs rows (1, 2), (3, 4), ... with the odd Thetas; row size - 1 is
+    # left alone, out of reach of row 0 within kmax steps
+    a_m, conj_m, rho_m = a[1:-1:2], a[1:-1:2].conj(), rho[1:-1:2]
+    a_l, conj_l, rho_l = a[0::2], a[0::2].conj(), rho[0::2]
+    v = np.zeros(size, dtype=np.complex128)
+    v[0] = 1.0
+    inner = np.empty(kmax + 1, dtype=np.complex128)  # <delta_0, C^k delta_0>
+    inner[0] = 1.0
+    for k in range(1, kmax + 1):
+        x, y = v[1:-1:2], v[2::2]
+        v[1:-1:2], v[2::2] = conj_m * x + rho_m * y, rho_m * x - a_m * y
+        x, y = v[0::2], v[1::2]
+        v[0::2], v[1::2] = conj_l * x + rho_l * y, rho_l * x - a_l * y
+        inner[k] = v[0]
+    # + 0j keeps a real measure's imaginary parts at 0.0 rather than -0.0
+    return inner.conj() + 0j
 
 
 def verblunsky_from_moments(moments) -> VerblunskySequence:

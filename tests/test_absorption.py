@@ -5,6 +5,7 @@ import pytest
 
 from opuckit.absorption import (
     absorption_inequality_probe,
+    absorption_probes,
     fit_absorption_constant,
     gn_exponent,
     gn_ratio_probe,
@@ -133,6 +134,11 @@ class TestAbsorptionProbe:
         constant = fit_absorption_constant(mono, seq, 2, 0.1, n_values)
         probe = absorption_inequality_probe(mono, seq, 2, 2000, 0.1, constant)
         assert probe.passed
+        # the one-table rows are the fit + per-N probe pair, float for float
+        rows = absorption_probes(mono, seq, 2, 0.1, n_values)
+        assert rows == [
+            absorption_inequality_probe(mono, seq, 2, N, 0.1, constant) for N in n_values
+        ]
 
     def test_subcritical_count_rejected(self):
         # m = 4, k = 2 needs at least 3 differences; one is not enough

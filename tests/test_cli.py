@@ -3,12 +3,13 @@ import math
 
 import pytest
 
-from opuckit.absorption import absorption_inequality_probe, fit_absorption_constant, gn_ratio_probe
+from opuckit import _kernels, measures
+from opuckit.absorption import critical_orders, gn_ratio_probe, monomial_sum
 from opuckit.cli import classify_k_trend, main
 from opuckit.families import FamilySpec
 from opuckit.measures import MeasureSpec, szego_functional_series
 from opuckit.normal_form import NormalFormMonomial
-from opuckit.sequences import ModulusError, VerblunskySequence
+from opuckit.sequences import ModulusError, VerblunskySequence, lukic_partial_sums
 from opuckit.suites import SUITES
 from opuckit.sum_rule import decomposition_report
 
@@ -143,8 +144,10 @@ class TestCliCommands:
         out = tmp_path / "rows.csv"
         args = ["sumrule", "report", "--family", "constant", "--c", "0.5", "--n-list", "5"]
         assert main(args + ["--out", str(out)]) == 0
-        sidecar = json.loads((tmp_path / "rows.csv.config.json").read_text())
-        assert sorted(sidecar) == ["family", "grid_size", "m_list", "n_list", "out", "seed"]
+        text = (tmp_path / "rows.csv.config.json").read_text()
+        assert sorted(json.loads(text)) == ["family", "grid_size", "m_list", "n_list", "out", "seed"]
+        # one line of sorted keys
+        assert text.endswith("}\n") and text.count("\n") == 1
 
     def test_sumrule_determinism(self, tmp_path):
         args = [
@@ -201,6 +204,12 @@ class TestCliCommands:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_negative_n_list_entry_is_named(self, capsys):
+        argv = ["absorb", "probe", "--family", "power", "--c", "0.5", "--m", "2", "--k", "2",
+                "--n-list", "40,-5"]
+        assert main(argv) == 2
+        assert "N = -5" in capsys.readouterr().err
 
     def test_normalform_verify(self, capsys):
         assert main(["normalform", "verify"]) == 0
@@ -329,6 +338,21 @@ class TestCliCommands:
         assert mom[0][0] == pytest.approx(1.0, abs=1e-10)
         assert mom[1][0] == pytest.approx(0.5, abs=1e-8)
 
+    def test_measure_moments_of_a_bernstein_szego_family_run_no_kernel(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the grid kernel ran")
+
+        monkeypatch.setattr(measures, "log_phistar_abs", refuse)
+        monkeypatch.setattr(_kernels, "log_phistar_abs", refuse)
+        family = ["--family", "power", "--c", "0.9", "--gamma", "0.3", "--n", "2000"]
+        with pytest.raises(AssertionError):
+            main(["measure", "weight", *family])
+        capsys.readouterr()
+        assert main(["measure", "moments", *family, "--kmax", "8"]) == 0
+        mom = json.loads(capsys.readouterr().out)
+        assert len(mom) == 9 and mom[0] == [1.0, 0.0]
+        assert all(math.hypot(re, im) <= 1.0 + 1e-15 for re, im in mom)
+
     def test_measure_from_json_file(self, tmp_path, capsys):
         spec = tmp_path / "measure.json"
         spec.write_text('{"kind": "bernstein_szego", "alphas": [[0.5, 0.0]]}')
@@ -452,22 +476,29 @@ class TestSweepsFollowOneSequence:
             assert float(row[4]) == gn_ratio_probe(full.truncated(N + 2 * 3 + 1), 3, 1, N)
 
     def test_absorb_random_monomial_rows_are_prefixes_of_one_sequence(self, tmp_path):
-        out = tmp_path / "absorb.csv"
-        args = ["absorb", "probe", *self.RANDOM, "--m", "2", "--k", "2", "--epsilon", "0.1",
-                "--n-list", "40,80"]
-        assert main(args + ["--out", str(out)]) == 0
-        full = FamilySpec(kind="random", seed=5, modulus_cap=0.6).generate(80 + 2 * 2 + 2)
-        # the monomial the CLI builds for m = 2, k = 2: one first difference
-        mono = NormalFormMonomial(2, ((1, 0), (0, 0)), ((0, 0), (0, 0)), 1.0)
-        constant = fit_absorption_constant(mono, full, 2, 0.1, [40, 80])
-        rows = csv_rows(out)
-        assert [int(row[3]) for row in rows] == [40, 80]
-        for row in rows:
-            N = int(row[3])
-            probe = absorption_inequality_probe(
-                mono, full.truncated(N + 2 * 2 + 3), 2, N, 0.1, constant
+        # oracle: each row from its own monomial_sum and energies, the
+        # constant fitted over them; repeats and order of the n-list kept
+        for m, k, n_list in ((2, 2, [40, 80]), (3, 2, [80, 40, 80]), (3, 3, [80, 40, 80])):
+            out = tmp_path / f"absorb-{m}-{k}.csv"
+            args = ["absorb", "probe", *self.RANDOM, "--m", str(m), "--k", str(k),
+                    "--epsilon", "0.1", "--n-list", ",".join(map(str, n_list))]
+            assert main(args + ["--out", str(out)]) == 0
+            full = FamilySpec(kind="random", seed=5, modulus_cap=0.6).generate(max(n_list) + 2 * m + 2)
+            orders = critical_orders(m, k)
+            mono = NormalFormMonomial(
+                k, tuple((a, 0) for a in orders[:k]), tuple((b, 0) for b in orders[k:]), 1.0
             )
-            assert row[5:] == [repr(probe.lhs), repr(probe.rhs), str(probe.passed)]
+            lhs, energy = {}, {}
+            for N in n_list:
+                lhs[N] = monomial_sum(mono, full, N)
+                rep = lukic_partial_sums(full, m, N + max(orders))
+                energy[N] = rep.diff_energy + rep.power_energy
+            constant = max([0.0] + [lhs[N] - 0.1 * energy[N] for N in n_list])
+            rows = csv_rows(out)
+            assert [int(row[3]) for row in rows] == n_list
+            for row, N in zip(rows, n_list):
+                rhs = 0.1 * energy[N] + constant
+                assert row[5:] == [repr(lhs[N]), repr(rhs), str(lhs[N] <= rhs)]
 
 
 class TestBadInput:
@@ -482,9 +513,18 @@ class TestBadInput:
             ["absorb", "probe", "--family", "power", "--c", "0.5", "--m", "3", "--k", "0"],
             ["measure", "moments", "--family", "power", "--c", "0.5", "--gamma", "1",
              "--n", "3", "--grid", "64", "--kmax", "-5"],
+            ["absorb", "probe", "--family", "power", "--c", "0.5", "--m", "2", "--k", "2",
+             "--epsilon", "-1"],
+            ["absorb", "probe", "--family", "power", "--c", "0.5", "--m", "2", "--k", "2",
+             "--epsilon", "0"],
+            ["absorb", "probe", "--family", "power", "--c", "0.5", "--m", "2", "--k", "2",
+             "--n-list", "40,-5"],
+            ["absorb", "probe", "--family", "power", "--c", "0.5", "--m", "3", "--r", "1",
+             "--n-list", "-5"],
         ],
         ids=["no-family", "generate-no-family", "measure-no-family", "explicit-no-values",
-             "absorb-no-probe", "absorb-k-0", "moments-negative-kmax"],
+             "absorb-no-probe", "absorb-k-0", "moments-negative-kmax", "absorb-negative-epsilon",
+             "absorb-zero-epsilon", "absorb-k-negative-n", "absorb-r-negative-n"],
     )
     def test_exits_2_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from opuckit.families import FamilySpec
 from opuckit.measures import (
     MeasureSpec,
     MomentPositivityError,
@@ -104,6 +105,20 @@ class TestMoments:
         mom = trig_moments(MeasureSpec.bernstein_szego(prefix), 4, 8192)
         rec = verblunsky_from_moments(mom)
         assert max(abs(a - b) for a, b in zip(prefix.values, rec.values)) <= 1e-7
+
+    def test_bernstein_szego_mass_is_exactly_one(self):
+        for prefix in ([], [0.5], [0.3, -0.2j, 0.9 + 0.1j], (0.99,) * 400):
+            for kmax in (0, 1, 7, 40):
+                assert trig_moments(MeasureSpec.bernstein_szego(prefix), kmax)[0] == 1.0
+
+    def test_bernstein_szego_moments_resolve_no_grid(self):
+        # no grid of 4096 nodes resolves this weight; the CMV moments need
+        # none, and the grid size only bounds kmax
+        seq = FamilySpec(kind="power", c=0.9, gamma=0.3).generate(2000)
+        spec = MeasureSpec.bernstein_szego(seq)
+        mom = trig_moments(spec, 8, 4096)
+        assert mom[0] == 1.0 and np.all(np.abs(mom) <= 1.0 + 1e-15)
+        assert np.array_equal(trig_moments(spec, 8, 18), mom)
 
     def test_kmax_guard(self):
         spec = MeasureSpec.bernstein_szego([0.5])

@@ -1,6 +1,7 @@
-"""The exact Schur-ratio series for K_m against a 40-digit reference.
+"""The exact Schur-ratio series for K_m against a 40-digit reference, and the
+CMV moments against a 250-digit one.
 
-Needs mpmath and Hypothesis (the `test` extra); the rest of the suite does not.
+Needs mpmath (the `test` extra); the rest of the suite does not.
 """
 
 import math
@@ -14,8 +15,10 @@ from hypothesis import strategies as st
 from opuckit.families import FamilySpec
 from opuckit.measures import (
     MeasureSpec,
+    bernstein_szego_weight,
     szego_functional,
     szego_functional_series,
+    trig_moments,
 )
 
 
@@ -140,3 +143,59 @@ class TestSeriesFunctional:
             assert abs(series[(m, N)] - want) <= 1e-12 * max(1.0, abs(want))
             if resolved:
                 assert abs(series[(m, N)] - quad[m]) <= 1e-10
+
+
+def mp_moments(values, kmax, dps=250):
+    """c_0..c_kmax of the Bernstein-Szego measure by the inverse Levinson recursion.
+
+    Orthogonality of Phi_{n+1} to 1 gives sum_j phi_j conj(c_{j+1}) =
+    conj(alpha_n) ||Phi_n||^2 over the monic Phi_n, which is solved for
+    c_{n+1}; the recursion loses digits geometrically, which 250 digits
+    absorb at kmax 160.
+    """
+    with mpmath.workdps(dps):
+        alphas = [mpmath.mpc(a.real, a.imag) for a in values[:kmax]]
+        alphas += [mpmath.mpc(0)] * (kmax - len(alphas))
+        phi = [mpmath.mpc(1)]
+        norm = mpmath.mpf(1)
+        conj_c = [mpmath.mpc(1)]
+        for n, a in enumerate(alphas):
+            known = mpmath.fsum(phi[j] * conj_c[j + 1] for j in range(n))
+            conj_c.append(mpmath.conj(a) * norm - known)
+            star = [mpmath.conj(v) for v in reversed(phi)]
+            phi = [mpmath.mpc(0)] + phi
+            for j in range(n + 1):
+                phi[j] -= mpmath.conj(a) * star[j]
+            norm *= 1 - abs(a) ** 2
+        return [complex(mpmath.conj(c)) for c in conj_c]
+
+
+class TestCmvMoments:
+    @pytest.mark.parametrize(
+        "family",
+        [
+            FamilySpec(kind="power", c=0.9, gamma=0.3),
+            FamilySpec(kind="constant", c=0.95),
+            FamilySpec(kind="random", seed=7, modulus_cap=0.95),
+            FamilySpec(kind="rotated", c=0.9, gamma=0.1, beta=1.0),
+        ],
+        ids=["power-0.3", "constant-0.95", "random-0.95", "rotated"],
+    )
+    def test_matches_250_digit_inverse_levinson(self, family):
+        measure = MeasureSpec.bernstein_szego(family.generate(2000))
+        ref = mp_moments(measure.prefix.values, 160)
+        for kmax in (12, 160):
+            got = trig_moments(measure, kmax)
+            assert len(got) == kmax + 1 and got[0] == 1
+            assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-12
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(prefix=capped_prefixes(max_cap=0.3), kmax=st.integers(0, 12))
+    def test_equal_the_fft_of_a_resolved_weight(self, prefix, kmax):
+        # At modulus cap 0.3 a grid of 4096 resolves the weight, so its FFT
+        # moments are exact to rounding; complex prefixes pin conj(<d_0, C^k d_0>)
+        # against <d_0, C^k d_0>, which misses by far more than the bound.
+        got = trig_moments(MeasureSpec.bernstein_szego(prefix), kmax)
+        sampled = MeasureSpec.sampled(bernstein_szego_weight(prefix, 4096))
+        want = trig_moments(sampled, kmax)
+        assert np.max(np.abs(got - want)) <= 1e-12
