@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opuckit import _kernels, measures
 from opuckit.absorption import critical_orders, gn_ratio_probe, monomial_sum
@@ -532,6 +536,136 @@ class TestBadInput:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# -- argument fuzzing ----------------------------------------------------------
+
+FIXED = settings.get_profile("fixed")
+
+# Each flag has good values, small enough that a run takes well under a
+# second, and bad ones: negative, zero, far past any size a run can hold (the
+# command must refuse them, not try) or no number at all.  An argv gets at
+# most one bad flag or action, so most runs get past parsing.  --out,
+# --values, --measure-json and --config are left out: they name files.
+HUGE = st.sampled_from([10**9, 2**63, 10**18, 10**30])
+NOT_A_NUMBER = st.sampled_from(["", " ", "abc", "1.5", "0x10", "nan", "1e3", "-", "--"])
+BAD_INTS = st.one_of(HUGE.map(str), st.one_of(st.integers(-3, 0).map(str), NOT_A_NUMBER))
+BAD_FLOATS = st.sampled_from(["nan", "inf", "-inf", "1e400", "-5", "2", "0", "abc", ""])
+
+
+def _ints(good):
+    return good.map(str), BAD_INTS
+
+
+def _int_lists(good):
+    goods = st.lists(good.map(str), min_size=1, max_size=3)
+    bad = st.tuples(goods, BAD_INTS).map(lambda pair: ",".join(pair[0] + [pair[1]]))
+    return goods.map(",".join), bad
+
+
+def _floats(low, high):
+    return st.floats(low, high).map(repr), BAD_FLOATS
+
+
+ORDERS = st.integers(1, 4)
+INDICES = st.one_of(st.integers(0, 8), st.sampled_from([16, 64, 250]))
+FAMILY_OPTIONS = {
+    "--family": (st.sampled_from(["power", "rotated", "random", "constant"]),
+                 st.sampled_from(["explicit", "bogus"])),
+    "--c": _floats(-0.9, 0.9),
+    "--c-imag": _floats(-0.3, 0.3),
+    "--gamma": _floats(0, 2),
+    "--beta": _floats(-3, 3),
+    "--seed": _ints(st.integers(0, 10**6)),
+    "--cap": _floats(0, 0.9),
+}
+COMMANDS = {
+    "gram": (
+        ["certify", "identity", "export"],
+        {"--m-max": _ints(ORDERS), "--m": _ints(ORDERS)},
+    ),
+    "absorb": (
+        ["probe"],
+        {**FAMILY_OPTIONS, "--m": _ints(ORDERS), "--r": _ints(ORDERS), "--k": _ints(ORDERS),
+         "--epsilon": _floats(0.01, 1), "--n-list": _int_lists(INDICES)},
+    ),
+    "sumrule": (
+        ["report"],
+        {**FAMILY_OPTIONS, "--m": _int_lists(ORDERS), "--n-list": _int_lists(INDICES),
+         "--grid": _ints(INDICES)},
+    ),
+    "measure": (
+        ["functional", "weight", "moments"],
+        {**FAMILY_OPTIONS, "--n": _ints(INDICES), "--m": _ints(ORDERS),
+         "--grid": _ints(st.sampled_from([16, 64, 256])), "--kmax": _ints(st.integers(0, 7))},
+    ),
+}
+REQUIRED = {("absorb", "--m"), ("absorb", "--family"), ("sumrule", "--family"),
+            ("measure", "--family")}
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    actions, options = COMMANDS[command]
+    bad = draw(st.sampled_from([None, "action", *options]))
+    argv = [command, "bogus" if bad == "action" else draw(st.sampled_from(actions))]
+    for flag, (good, wrong) in options.items():
+        if flag == bad:
+            argv += [flag, draw(wrong)]
+        elif (command, flag) in REQUIRED or draw(st.booleans()):
+            argv += [flag, draw(good)]
+    return argv
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process run; other exceptions propagate."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(FIXED, max_examples=150)
+@given(argv=cli_argvs())
+def test_fuzzed_arguments_exit_cleanly(argv):
+    code, _, err = run_cli(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+# Each size is the bound plus one where a run past it would still be cheap,
+# and 10**18 where an unbounded run fails at once on allocation.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gram", "certify", "--m-max", "33"],
+        ["gram", "export", "--m", "33"],
+        ["sumrule", "report", "--family", "power", "--c", "0.5", "--m", "1,33"],
+        ["sumrule", "report", "--family", "power", "--c", "0.5", "--n-list", str(10**18)],
+        ["absorb", "probe", "--family", "power", "--c", "0.5", "--m", "33", "--k", "2"],
+        ["absorb", "probe", "--family", "power", "--c", "0.5", "--m", "3", "--k", "2",
+         "--n-list", "40," + str(10**18)],
+        ["measure", "functional", "--family", "power", "--c", "0.5", "--n", str(10**18)],
+        ["measure", "functional", "--family", "power", "--c", "0.5", "--m", "33"],
+        ["measure", "weight", "--family", "power", "--c", "0.5", "--grid", str(10**18)],
+        ["measure", "moments", "--family", "power", "--c", "0.5", "--kmax", str(10**18),
+         "--grid", str(10**19)],
+        ["generate", "--family", "power", "--c", "0.5", "--n", str(10**18)],
+    ],
+    ids=["certify-m-max", "export-m", "sumrule-m", "sumrule-n", "absorb-m", "absorb-n",
+         "measure-n", "measure-m", "weight-grid", "moments-kmax", "generate-n"],
+)
+def test_sizes_past_the_bounds_exit_2_naming_the_flag(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --") and "must be <=" in lines[0]
 
 
 SUITE_CHECKS = {name: run for build in SUITES.values() for name, run in build()}

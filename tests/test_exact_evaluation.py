@@ -18,6 +18,7 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -310,3 +311,80 @@ def test_fraction_sequence_is_checked_exactly():
     value = coefficient_map(P, seq, 1)
     assert isinstance(value, GaussianRational)
     assert value == oracle_coefficient_map(P, seq, 1)
+
+
+# -- the kind of a sequence, without a scan -----------------------------------
+
+
+class CountingList(list):
+    """A list that counts the entries its iteration hands out."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = 0
+
+    def __iter__(self):
+        for value in super().__iter__():
+            self.read += 1
+            yield value
+
+
+class UniterableArray(np.ndarray):
+    """An ndarray that fails if anything iterates over it."""
+
+    def __iter__(self):
+        raise AssertionError("the ndarray was iterated")
+
+
+DEGREE_4 = NormalFormMonomial(2, ((1, 0), (0, 2)), ((2, 1), (0, 0)), 1)
+HALF = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
+
+
+class TestSequenceKind:
+    def test_a_float_list_is_decided_by_its_first_entry(self):
+        seq = CountingList([0.1 + 0.2j] * 100_000)
+        assert isinstance(evaluate(DEGREE_4, seq, 50_000), complex)
+        assert seq.read == 1
+
+    def test_leading_ints_are_read_up_to_the_first_exact_entry(self):
+        seq = CountingList([0] * 20 + [HALF] * 30)
+        value = evaluate(DEGREE_4, seq, 18)
+        assert value == oracle_evaluate(DEGREE_4, seq, 18)
+        assert seq.read == 21
+
+    def test_a_numeric_ndarray_is_float_without_a_read(self):
+        seq = np.full(100_000, 0.1 + 0.2j).view(UniterableArray)
+        assert isinstance(evaluate(DEGREE_4, seq, 50_000), complex)
+
+    @pytest.mark.parametrize(
+        "seq, kind",
+        [
+            ([0.1, -0.2, 0.3, 0.05], complex),
+            ([0.1j, 0.2, -0.3 + 0.1j, 0.0], complex),
+            ([1, 0, -1, 2], complex),
+            (np.array([0.1, 0.2j, 0.3, 0.0]), complex),
+            (VerblunskySequence((0.1, 0.2j, 0.3, 0.0)), complex),
+            ([Fraction(1, 3), 0, Fraction(-2, 5), 1], GaussianRational),
+            ([0, 0, HALF, HALF], GaussianRational),
+            ((HALF, 1, HALF, 0), GaussianRational),
+            (np.array([0, HALF, 1, HALF], dtype=object), GaussianRational),
+        ],
+        ids=["float", "complex", "ints", "ndarray", "verblunsky", "fractions",
+             "leading-ints", "tuple", "object-ndarray"],
+    )
+    def test_homogeneous_sequences_keep_their_kind(self, seq, kind):
+        value = evaluate(DEGREE_4, seq, 0)
+        assert isinstance(value, kind)
+        oracle = oracle_evaluate if kind is GaussianRational else oracle_float_evaluate
+        assert value == oracle(DEGREE_4, seq, 0)
+
+    @pytest.mark.parametrize(
+        "seq",
+        [[HALF, 0.5], [0.5, HALF], [0, 0.25j, Fraction(1, 3)], [Fraction(1, 3), 0.25]],
+        ids=["exact-then-float", "float-then-exact", "ints-float-fraction", "fraction-then-float"],
+    )
+    def test_a_window_reading_float_and_exact_entries_raises(self, seq):
+        # Delta^1 at the last two entries reads one entry of each kind
+        mono = NormalFormMonomial(1, ((1, 0),), ((0, 0),), 1)
+        with pytest.raises(TypeError):
+            evaluate(mono, seq, len(seq) - 2)

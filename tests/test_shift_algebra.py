@@ -2,12 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opuckit.rationals import GaussianRational
+from opuckit.normal_form import from_ideal_expansion
+from opuckit.rationals import GR_ZERO, GaussianRational
 from opuckit.sequences import VerblunskySequence
 from opuckit.shift_algebra import (
+    IdealDecomposition,
+    IdealTerm,
     MomentQuery,
     ShiftPolynomial,
+    _compositions,
     coefficient_map,
     diag_eval,
     euler_moment,
@@ -22,6 +28,8 @@ from opuckit.suites import (
     random_laurent_monomial,
 )
 from opuckit.sum_rule import hm_fourier, hm_shift_symbol
+
+FIXED = settings.get_profile("fixed")
 
 
 def x(k, i):
@@ -338,6 +346,139 @@ class TestIdealDecompose:
                 euler_moment(R, (ell, 0)).is_zero() for ell in range(q)
             )
             assert momzero == laurent_divisible_by_power(R, q)
+
+
+# -- the GaussianRational splitting, kept as the oracle of ideal_power_decompose
+
+
+def oracle_divide_at_one(terms: dict, slot: int) -> tuple[dict, dict]:
+    groups: dict = {}
+    for exps, coeff in terms.items():
+        key = exps[:slot] + (0,) + exps[slot + 1 :]
+        groups.setdefault(key, {})[exps[slot]] = coeff
+    value: dict = {}
+    quotient: dict = {}
+    for key, univ in groups.items():
+        val = GR_ZERO
+        for c in univ.values():
+            val = val + c
+        if not val.is_zero():
+            value[key] = val
+        suffix = GR_ZERO
+        for e in range(max(univ) - 1, -1, -1):
+            nxt = univ.get(e + 1)
+            if nxt is not None:
+                suffix = suffix + nxt
+            if not suffix.is_zero():
+                here = key[:slot] + (e,) + key[slot + 1 :]
+                quotient[here] = quotient.get(here, GR_ZERO) + suffix
+    return value, {e: c for e, c in quotient.items() if not c.is_zero()}
+
+
+def oracle_ideal_power_decompose(P: ShiftPolynomial, q: int) -> IdealDecomposition:
+    k = P.k
+    nslots = 2 * k
+    if not P.terms:
+        return IdealDecomposition(k=k, order=q, member=True, terms=())
+    clearing = tuple(max(0, -min(e[slot] for e in P.terms)) for slot in range(nslots))
+    cleared = {
+        tuple(e + m for e, m in zip(exps, clearing)): c for exps, c in P.terms.items()
+    }
+    final = []
+    jets = []
+
+    def split(gen, terms, slot):
+        if sum(gen) == q:
+            for exps, coeff in terms.items():
+                shifts = tuple(e - m for e, m in zip(exps, clearing))
+                final.append(IdealTerm(gen_orders=gen, shifts=shifts, coeff=coeff))
+            return
+        if slot == nslots:
+            coeff = terms.get(tuple([0] * nslots), GR_ZERO)
+            if not coeff.is_zero():
+                jets.append((gen, coeff))
+            return
+        value, quotient = oracle_divide_at_one(terms, slot)
+        if value:
+            split(gen, value, slot + 1)
+        if quotient:
+            bumped = gen[:slot] + (gen[slot] + 1,) + gen[slot + 1 :]
+            split(bumped, quotient, slot)
+
+    split(tuple([0] * nslots), cleared, 0)
+    if jets:
+        t = min(sum(gen) for gen, _ in jets)
+        for exps in _compositions(t, nslots):
+            if not euler_moment(P, exps).is_zero():
+                return IdealDecomposition(k=k, order=q, member=False, witness=MomentQuery(exps))
+        raise AssertionError("nonzero jet without a nonzero moment at its order")
+    return IdealDecomposition(k=k, order=q, member=True, terms=tuple(final))
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def decomposition_inputs(draw, member=None):
+    """(P, q) with k <= 3, q <= 5: sums of Laurent monomials times generators.
+
+    Each piece is c v^e times a product of generators v_s - 1, with
+    exponents e in [-2, 2].  A member has q generators in every piece; a
+    non-member gets 0..q, so some are members after all; `member` None
+    draws which of the two is meant.  A piece may come as a cancelling
+    pair: coefficients whose real parts, imaginary parts or both are
+    opposite, on two exponents one slot apart, so the value sum of that
+    slot's branch cancels in that part.
+    """
+    k = draw(st.integers(1, 3))
+    q = draw(st.integers(0, 5))
+    nslots = 2 * k
+    if member is None:
+        member = draw(st.booleans())
+    variables = [x(k, i) for i in range(1, k + 1)] + [y(k, j) for j in range(1, k + 1)]
+    P = ShiftPolynomial.zero(k)
+    for _ in range(draw(st.integers(1, 3))):
+        gens = q if member else draw(st.integers(0, q))
+        cofactor = ShiftPolynomial.one(k)
+        for _ in range(gens):
+            cofactor = cofactor * (variables[draw(st.integers(0, nslots - 1))] - 1)
+        exps = tuple(draw(st.lists(st.integers(-2, 2), min_size=nslots, max_size=nslots)))
+        re, im = draw(rationals), draw(rationals)
+        piece = ShiftPolynomial.monomial(k, exps, GaussianRational(re, im))
+        if draw(st.booleans()):
+            slot = draw(st.integers(0, nslots - 1))
+            step = draw(st.integers(1, 2))
+            other = exps[:slot] + (exps[slot] + step,) + exps[slot + 1 :]
+            part = draw(st.sampled_from(("re", "im", "both")))
+            pair_re = -re if part != "im" else draw(rationals)
+            pair_im = -im if part != "re" else draw(rationals)
+            piece = piece + ShiftPolynomial.monomial(k, other, GaussianRational(pair_re, pair_im))
+        P = P + piece * cofactor
+    return P, q
+
+
+class TestIdealDecomposeProperties:
+    @settings(FIXED, max_examples=150)
+    @given(inputs=decomposition_inputs())
+    def test_equals_the_gaussian_rational_splitting(self, inputs):
+        P, q = inputs
+        got = ideal_power_decompose(P, q)
+        want = oracle_ideal_power_decompose(P, q)
+        assert got == want
+        if want.member:
+            got_json = [m.to_json() for m in from_ideal_expansion(got)]
+            assert got_json == [m.to_json() for m in from_ideal_expansion(want)]
+
+    @settings(FIXED, max_examples=60)
+    @given(inputs=decomposition_inputs(member=False))
+    def test_witness_is_a_lowest_order_nonzero_moment(self, inputs):
+        P, q = inputs
+        dec = ideal_power_decompose(P, q)
+        if dec.member:
+            assert vanishing_order(P, q) == q
+        else:
+            assert dec.witness.total_order == vanishing_order(P, q)
+            assert not euler_moment(P, dec.witness).is_zero()
 
 
 class TestCoefficientMap:

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opuckit.families import FamilySpec
 from opuckit.measures import MeasureSpec, szego_functional, szego_functional_series, theta_grid
@@ -23,6 +25,8 @@ from opuckit.sum_rule import (
 )
 from opuckit.shift_algebra import ShiftPolynomial
 from opuckit.suites import random_float_sequence
+
+FIXED = settings.get_profile("fixed")
 
 
 def fourier_oracle(m, ell, grid=4096):
@@ -151,6 +155,30 @@ class TestLogTail:
 
     def test_complex_argument(self):
         assert log_tail(0.3 + 0.4j, 2) == pytest.approx(log_tail(0.5, 2), rel=1e-13)
+
+    # Both the tail and the bounds are a few ulps from exact (powers, log1p,
+    # and the bounds' own |a|^(2m+2)); this fixed relative slack is over a
+    # thousand times that.
+    BOUND_RTOL = 1e-12
+
+    @settings(FIXED, max_examples=200)
+    @given(
+        modulus=st.one_of(
+            st.floats(min_value=1e-6, max_value=1 - 1e-12),
+            st.integers(1, 12).map(lambda e: 1 - 10.0**-e),
+        ),
+        angle=st.floats(min_value=0, max_value=2 * math.pi),
+        m=st.integers(1, 8),
+    )
+    def test_bounds_up_to_the_unit_circle(self, modulus, angle, m):
+        # sum_{j>m} x^j/j lies between its first term x^(m+1)/(m+1) and
+        # x^(m+1)/((m+1)(1-x)), the geometric sum of that term, x = |a|^2
+        a = complex(modulus * math.cos(angle), modulus * math.sin(angle))
+        x = abs(a) ** 2
+        tail = log_tail(a, m)
+        lower = abs(a) ** (2 * m + 2) / (m + 1)
+        upper = lower / (1 - x)
+        assert lower * (1 - self.BOUND_RTOL) <= tail <= upper * (1 + self.BOUND_RTOL)
 
 
 def log_tail_loop(alpha, m):
