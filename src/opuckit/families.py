@@ -55,6 +55,9 @@ class FamilySpec:
         if N < 0:
             raise ValueError("N must be >= 0")
         n = np.arange(N + 1)
+        if len(n) != N + 1:
+            # numpy returns an empty range, not an error, for lengths near 2**63
+            raise ValueError(f"N = {N} is past the longest array numpy can index")
         if self.kind == "power":
             vals = self.c / (n + 1.0) ** self.gamma
         elif self.kind == "rotated":

@@ -31,6 +31,10 @@ from .sequences import VerblunskySequence, zero_extended
 
 DEFAULT_GRID = 4096
 
+# h_{m,0} = C(2m, m)/2^m, the largest Fourier coefficient of (1-cos theta)^m,
+# is a finite float up to this order and overflows past it
+MAX_SERIES_ORDER = 1029
+
 
 class WeightPositivityError(ValueError):
     """A weight sample was nonpositive (log would be infinite)."""
@@ -107,7 +111,11 @@ def hm_closed_form(m: int, ell: int) -> Fraction:
 
 
 def theta_grid(grid_size: int) -> np.ndarray:
-    return 2.0 * np.pi * np.arange(grid_size) / grid_size
+    g = np.arange(grid_size)
+    if len(g) != grid_size:
+        # numpy returns an empty range, not an error, for lengths near 2**63
+        raise ValueError(f"grid size {grid_size} is past the longest array numpy can index")
+    return 2.0 * np.pi * g / grid_size
 
 
 def szego_recursion_polynomials(prefix, z: complex) -> tuple[complex, complex]:
@@ -296,6 +304,11 @@ def szego_functional_series(prefix, m_max: int, checkpoints) -> dict:
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
+    if m_max > MAX_SERIES_ORDER:
+        raise ValueError(
+            f"m_max must be <= {MAX_SERIES_ORDER}, past which C(2m, m)/2^m "
+            f"overflows a float; got {m_max}"
+        )
     if not isinstance(prefix, VerblunskySequence):
         prefix = VerblunskySequence(tuple(prefix))
     wanted = sorted({int(N) for N in checkpoints})

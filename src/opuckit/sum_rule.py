@@ -19,6 +19,7 @@ label it an unresolved remainder and trend checks quantify its boundedness.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -188,6 +189,12 @@ def decomposition_sweep(seq, m_list, n_list) -> list[DecompositionReport]:
         return []
     if m_list[0] < 1:
         raise ValueError("m must be >= 1")
+    # Q divides by 2^m, which overflows a float from m = max_exp on
+    if m_list[-1] >= sys.float_info.max_exp:
+        raise ValueError(
+            f"m must be < {sys.float_info.max_exp}, where 2^m overflows a float; "
+            f"got m = {m_list[-1]}"
+        )
     if n_list[0] < 0:
         raise ValueError("N must be >= 0")
     if not isinstance(seq, VerblunskySequence):

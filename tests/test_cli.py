@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opuckit import _kernels, measures
+from opuckit import _kernels, measures, psd_quartic
 from opuckit.absorption import critical_orders, gn_ratio_probe, monomial_sum
-from opuckit.cli import classify_k_trend, main
+from opuckit.cli import GRAM_MAX_ORDER, classify_k_trend, main
 from opuckit.families import FamilySpec
 from opuckit.measures import MeasureSpec, szego_functional_series
 from opuckit.normal_form import NormalFormMonomial
@@ -543,11 +543,14 @@ class TestBadInput:
 FIXED = settings.get_profile("fixed")
 
 # Each flag has good values, small enough that a run takes well under a
-# second, and bad ones: negative, zero, far past any size a run can hold (the
-# command must refuse them, not try) or no number at all.  An argv gets at
-# most one bad flag or action, so most runs get past parsing.  --out,
-# --values, --measure-json and --config are left out: they name files.
-HUGE = st.sampled_from([10**9, 2**63, 10**18, 10**30])
+# second, and bad ones: negative, zero, huge or no number at all.  A huge
+# value is past any size a machine holds, so a run must fail at once, on
+# allocation or at a guard; 2**63 - 1 is where numpy's arange returns an
+# empty range instead of failing.  Sizes a large machine holds (10**8,
+# 10**9) are workloads the CLI runs, so none is drawn.  An argv gets at most
+# one bad flag or action, so most runs get past parsing.  --out, --values,
+# --measure-json and --config are left out: they name files.
+HUGE = st.sampled_from([2**63 - 1, 2**63, 10**18, 10**30])
 NOT_A_NUMBER = st.sampled_from(["", " ", "abc", "1.5", "0x10", "nan", "1e3", "-", "--"])
 BAD_INTS = st.one_of(HUGE.map(str), st.one_of(st.integers(-3, 0).map(str), NOT_A_NUMBER))
 BAD_FLOATS = st.sampled_from(["nan", "inf", "-inf", "1e400", "-5", "2", "0", "abc", ""])
@@ -639,33 +642,99 @@ def test_fuzzed_arguments_exit_cleanly(argv):
         assert sum("error:" in line for line in err.splitlines()) == 1
 
 
-# Each size is the bound plus one where a run past it would still be cheap,
-# and 10**18 where an unbounded run fails at once on allocation.
+POWER = ["--family", "power", "--c", "0.5"]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["gram", "certify", "--m-max", "33"],
-        ["gram", "export", "--m", "33"],
-        ["sumrule", "report", "--family", "power", "--c", "0.5", "--m", "1,33"],
-        ["sumrule", "report", "--family", "power", "--c", "0.5", "--n-list", str(10**18)],
-        ["absorb", "probe", "--family", "power", "--c", "0.5", "--m", "33", "--k", "2"],
-        ["absorb", "probe", "--family", "power", "--c", "0.5", "--m", "3", "--k", "2",
-         "--n-list", "40," + str(10**18)],
-        ["measure", "functional", "--family", "power", "--c", "0.5", "--n", str(10**18)],
-        ["measure", "functional", "--family", "power", "--c", "0.5", "--m", "33"],
-        ["measure", "weight", "--family", "power", "--c", "0.5", "--grid", str(10**18)],
-        ["measure", "moments", "--family", "power", "--c", "0.5", "--kmax", str(10**18),
-         "--grid", str(10**19)],
-        ["generate", "--family", "power", "--c", "0.5", "--n", str(10**18)],
+        (["sumrule", "report", *POWER, "--n-list", str(10**18)], None),
+        (["absorb", "probe", *POWER, "--m", "3", "--k", "2", "--n-list", "40," + str(10**18)],
+         None),
+        (["absorb", "probe", *POWER, "--m", str(10**18), "--k", "2"], None),
+        (["measure", "functional", *POWER, "--n", str(10**18)], None),
+        (["measure", "weight", *POWER, "--n", "3", "--grid", str(10**18)], None),
+        (["generate", *POWER, "--n", str(10**18)], None),
+        (["generate", *POWER, "--n", str(2**63 - 1)], "N = 9223372036854775807 is past"),
+        (["measure", "functional", *POWER, "--n", str(2**63)], "N = 9223372036854775808 is past"),
+        (["measure", "weight", *POWER, "--n", "3", "--grid", str(2**63 - 1)],
+         "grid size 9223372036854775807 is past"),
+        (["measure", "moments", *POWER, "--n", "3", "--kmax", str(10**18), "--grid", "64"],
+         "kmax must stay below half the grid size"),
+        (["sumrule", "report", *POWER, "--m", "1,1024", "--n-list", "8"], "m must be < 1024"),
+        (["measure", "functional", *POWER, "--n", "8", "--m", "1030"], "m_max must be <= 1029"),
     ],
-    ids=["certify-m-max", "export-m", "sumrule-m", "sumrule-n", "absorb-m", "absorb-n",
-         "measure-n", "measure-m", "weight-grid", "moments-kmax", "generate-n"],
+    ids=["sumrule-n", "absorb-n", "absorb-m", "measure-n", "weight-grid", "generate-n",
+         "generate-n-empty-range", "measure-n-empty-range", "weight-grid-empty-range",
+         "moments-kmax", "sumrule-m", "functional-m"],
 )
-def test_sizes_past_the_bounds_exit_2_naming_the_flag(argv):
+def test_sizes_past_reach_exit_2_at_once(argv, message):
+    """No traceback, no empty output: N = 10**18 was a MemoryError traceback,
+    N near 2**63 printed an empty sequence, and an order past the float range
+    of the series failed only after about 30 s."""
     code, out, err = run_cli(argv)
     assert code == 2 and out == ""
     lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: --") and "must be <=" in lines[0]
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    if message is not None:
+        assert lines[0].startswith("error: " + message)
+
+
+GRAM_FLAGS = [("certify", "--m-max"), ("identity", "--m-max"), ("export", "--m")]
+
+
+@pytest.mark.parametrize("action, flag", GRAM_FLAGS)
+def test_gram_order_past_its_bound_exits_2_naming_the_flag(action, flag):
+    bound = GRAM_MAX_ORDER[action]
+    code, out, err = run_cli(["gram", action, flag, str(bound + 1)])
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be <= {bound} for gram {action}, got {bound + 1}\n"
+
+
+@pytest.mark.parametrize("action, flag", GRAM_FLAGS)
+def test_gram_order_at_its_bound_runs(monkeypatch, action, flag):
+    """The exact algebra is stubbed: only where the bound sits is under test."""
+    orders = []
+
+    class Block:
+        def to_json(self):
+            return "{}"
+
+    class Certificate:
+        certified = True
+        pivots = ()
+
+    def closed_form(m):
+        orders.append(m)
+        return Block()
+
+    def identity_check(m):
+        orders.append(m)
+        return True
+
+    monkeypatch.setattr(psd_quartic, "gram_closed_form", closed_form)
+    monkeypatch.setattr(psd_quartic, "psd_certificate", lambda block: Certificate())
+    monkeypatch.setattr(psd_quartic, "gram_identity_check", identity_check)
+    bound = GRAM_MAX_ORDER[action]
+    code, _, err = run_cli(["gram", action, flag, str(bound)])
+    assert code == 0 and err == ""
+    assert max(orders) == bound
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sumrule", "report", *POWER, "--m", "40", "--n-list", "8"],
+        ["measure", "functional", *POWER, "--n", "8", "--m", "40"],
+        ["measure", "weight", *POWER, "--n", "3", "--grid", "64", "--m", "40"],
+        ["measure", "moments", *POWER, "--n", "3", "--grid", "64", "--m", "40"],
+    ],
+    ids=["sumrule", "functional", "weight", "moments"],
+)
+def test_orders_the_series_holds_run(argv):
+    """An order only bounds the commands whose cost or float range needs it."""
+    code, out, err = run_cli(argv)
+    assert code == 0 and out and err == ""
 
 
 SUITE_CHECKS = {name: run for build in SUITES.values() for name, run in build()}

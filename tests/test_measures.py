@@ -6,12 +6,14 @@ import pytest
 
 from opuckit.families import FamilySpec
 from opuckit.measures import (
+    MAX_SERIES_ORDER,
     MeasureSpec,
     MomentPositivityError,
     WeightPositivityError,
     bernstein_szego_weight,
     szego_functional,
     szego_functional_series,
+    hm_closed_form,
     szego_recursion_polynomials,
     theta_grid,
     trig_moments,
@@ -76,6 +78,11 @@ class TestWeight:
     def test_grid_floor(self):
         with pytest.raises(ValueError):
             bernstein_szego_weight([0.1], 8)
+
+    def test_grid_past_numpy_length_raises(self):
+        # np.arange(2**63 - 1) is an empty array, not an error
+        with pytest.raises(ValueError, match="past the longest array"):
+            theta_grid(2**63 - 1)
 
     def test_underflow_signalled(self):
         prefix = VerblunskySequence((0.9,) * 1600)
@@ -207,6 +214,15 @@ class TestFunctional:
         prefix = VerblunskySequence(tuple([0.9] * 1600))
         val = szego_functional(MeasureSpec.bernstein_szego(prefix), 1, 256).value
         assert math.isfinite(val) and val > 100
+
+    def test_series_order_bound_is_the_float_range_of_h(self):
+        # the bound refuses at once exactly the orders whose table of h_{m,l}
+        # would overflow a float after O(m^2) exact binomials
+        assert math.isfinite(float(hm_closed_form(MAX_SERIES_ORDER, 0)))
+        with pytest.raises(OverflowError):
+            float(hm_closed_form(MAX_SERIES_ORDER + 1, 0))
+        with pytest.raises(ValueError, match="m_max must be <= 1029"):
+            szego_functional_series([0.5], MAX_SERIES_ORDER + 1, [0])
 
 
 class TestMeasureSpecJson:
