@@ -1,6 +1,6 @@
 """Batch driver: family generation, sum-rule sweeps, certification, probes.
 
-Subcommands: generate, sumrule, gram, normalform, absorb, measure, verify.
+Subcommands: generate, sumrule, gram, absorb, measure, verify.
 A JSON config (--config) supplies flag defaults: a flat key applies to
 every subcommand with a flag of that name, and a key naming a subcommand
 holds an object of defaults for that subcommand alone.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -178,13 +179,6 @@ def cmd_gram(args) -> int:
         return 0
 
 
-def cmd_normalform(args) -> int:
-    results, ok = run_suites("normalform")
-    more, ok2 = run_suites("algebra")
-    _print_table(results + more)
-    return 0 if (ok and ok2) else 1
-
-
 def cmd_absorb(args) -> int:
     family = _family_from_args(args)
     n_list = _parse_int_list(args.n_list)
@@ -192,8 +186,8 @@ def cmd_absorb(args) -> int:
     for N in n_list:
         if N < 0:
             raise ValueError(f"--n-list entries must be >= 0, got N = {N}")
-    if not args.epsilon > 0:
-        raise ValueError(f"--epsilon must be > 0, got {args.epsilon}")
+    if not (math.isfinite(args.epsilon) and args.epsilon > 0):
+        raise ValueError(f"--epsilon must be finite and > 0, got {args.epsilon}")
     lines = [VERSION_HEADER, "family,m,param,N,ratio,lhs,rhs,passed"]
     label = family.label().replace(",", ";")
     # one sequence for every N, generated as long as the largest N reads;
@@ -309,10 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_gram)
 
-    p = sub.add_parser("normalform", help="pointwise exactness suite")
-    p.add_argument("action", choices=("verify",))
-    p.set_defaults(fn=cmd_normalform)
-
     p = sub.add_parser("absorb", help="interpolation and absorption probes (CSV)")
     p.add_argument("action", choices=("probe",))
     _add_family_args(p)
@@ -335,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_measure)
 
-    p = sub.add_parser("verify", help="run module invariant suites")
+    p = sub.add_parser("verify", help="check each link of the sum-rule chain")
     p.add_argument("--suite", default="all")
     p.set_defaults(fn=cmd_verify)
 

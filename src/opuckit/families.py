@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,11 @@ class FamilySpec:
         # equal specs must generate equal floats: real / float and
         # complex / float divisions differ in the last bit
         object.__setattr__(self, "c", complex(self.c))
+        # numpy would warn on stderr and build a sequence of nan or inf
+        for name in ("c", "gamma", "beta", "modulus_cap"):
+            value = getattr(self, name)
+            if not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     def label(self) -> str:
         if self.kind == "power":

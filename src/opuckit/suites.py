@@ -1,29 +1,26 @@
-"""Named verification suites behind `opuckit verify` and `normalform verify`.
+"""Named verification suites behind `opuckit verify`, one per link of the chain.
 
-Each check is a callable returning (passed, detail).  The suites are smoke
-level: fast deterministic versions of the module invariants.  The full
-randomized sweeps live in the pytest acceptance module; both share the
-random construction helpers defined here.
+Each check is a callable returning (passed, detail).  The suites check the
+links of the sum rule: `gram` the PSD quartic block, `normalform` the exact
+normal form of the remainders, `measures` the weighted log functional K_m,
+`sumrule` the difference energy, the log tail and the m = 1 closure, and
+`absorb` the exponents that absorb the remainders.  Generic identities of
+the building blocks are checked by `tests/` alone, which shares the random
+construction helpers defined here.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
-from . import _kernels, absorption, measures, normal_form, psd_quartic, sum_rule
+from . import absorption, measures, normal_form, psd_quartic, sum_rule
 from .rationals import GaussianRational
-from .sequences import VerblunskySequence, forward_difference, lukic_partial_sums
-from .shift_algebra import (
-    ShiftPolynomial,
-    diag_eval,
-    ideal_power_decompose,
-    vanishing_order,
-)
+from .sequences import VerblunskySequence, lukic_partial_sums
+from .shift_algebra import ShiftPolynomial, ideal_power_decompose, vanishing_order
 
 Check = tuple[str, Callable[[], tuple[bool, str]]]
 
@@ -70,15 +67,6 @@ def random_ideal_member(rng: random.Random, k: int, q: int, pieces: int = 3) -> 
     return total
 
 
-def random_float_sequence(rng: random.Random, length: int, cap: float = 0.9) -> VerblunskySequence:
-    vals = []
-    for _ in range(length):
-        r = cap * math.sqrt(rng.random())
-        ang = 2.0 * math.pi * rng.random()
-        vals.append(r * complex(math.cos(ang), math.sin(ang)))
-    return VerblunskySequence(tuple(vals))
-
-
 # -- suites ---------------------------------------------------------------
 
 
@@ -117,7 +105,7 @@ def _gram_checks() -> list[Check]:
     return checks
 
 
-def _algebra_checks() -> list[Check]:
+def _normalform_checks() -> list[Check]:
     checks: list[Check] = []
 
     def pointwise(k, q, seed):
@@ -133,36 +121,8 @@ def _algebra_checks() -> list[Check]:
     seed = 1000
     for k in (1, 2, 3):
         for q in (1, 2, 3, 4):
-            checks.append((f"algebra.pointwise.k{k}.q{q}", pointwise(k, q, seed)))
+            checks.append((f"normalform.pointwise.k{k}.q{q}", pointwise(k, q, seed)))
             seed += 1
-
-    def unit_invariance():
-        rng = random.Random(7)
-        P = random_ideal_member(rng, 2, 2)
-        unit = random_laurent_monomial(rng, 2)
-        while not unit.terms:
-            unit = random_laurent_monomial(rng, 2)
-        cap = 6
-        a = vanishing_order(P, cap)
-        b = vanishing_order(unit * P, cap)
-        return a == b, f"order {a} vs {b} after unit multiplication"
-
-    checks.append(("algebra.unit_invariance", unit_invariance))
-
-    def diag_hom():
-        rng = random.Random(11)
-        P = random_laurent_monomial(rng, 2) + random_laurent_monomial(rng, 2)
-        Q = random_laurent_monomial(rng, 2) + random_laurent_monomial(rng, 2)
-        lhs = diag_eval(P * Q)
-        rhs = diag_eval(P) * diag_eval(Q)
-        return lhs == rhs, "diag is multiplicative"
-
-    checks.append(("algebra.diag_homomorphism", diag_hom))
-    return checks
-
-
-def _normalform_checks() -> list[Check]:
-    checks: list[Check] = []
 
     def telescoping_example():
         x1, x2 = ShiftPolynomial.x(2, 1), ShiftPolynomial.x(2, 2)
@@ -173,137 +133,11 @@ def _normalform_checks() -> list[Check]:
         return ok, f"{len(dec.terms)} terms, exact recomposition"
 
     checks.append(("normalform.telescoping_factorization", telescoping_example))
-
-    def leibniz():
-        rng = random.Random(3)
-        f = [rng.uniform(-1, 1) for _ in range(12)]
-        g = [rng.uniform(-1, 1) for _ in range(12)]
-        terms = normal_form.leibniz_expand(2, 2)
-        ok = len(terms) == 4 and all(sum(t.orders) == 2 for t in terms)
-        for n in range(4):
-            direct = forward_difference([a * b for a, b in zip(f, g)], 2, n)
-            expanded = sum(
-                t.coeff
-                * forward_difference(f, t.orders[0], n + t.shifts[0])
-                * forward_difference(g, t.orders[1], n + t.shifts[1])
-                for t in terms
-            )
-            ok = ok and abs(direct - expanded) <= 1e-12
-        return ok, "Delta^2(fg) recomposed from 4 branch terms"
-
-    checks.append(("normalform.leibniz.q2s2", leibniz))
-
-    def sbp():
-        rng = random.Random(5)
-        F = [rng.uniform(-1, 1) for _ in range(102)]
-        G = [rng.uniform(-1, 1) for _ in range(102)]
-        lhs, rhs, boundary = normal_form.summation_by_parts(F, G, 100)
-        dev = abs(lhs - rhs - boundary)
-        return dev <= 1e-12, f"identity deviation {dev:.2e}"
-
-    checks.append(("normalform.summation_by_parts", sbp))
-
-    def redistribution():
-        # interior support: boundary term vanishes exactly
-        F = [0.0, 0.0] + [0.3, -0.2, 0.5, 0.1] + [0.0] * 4
-        G = [0.0, 0.0] + [-0.4, 0.2, 0.3, -0.1] + [0.0] * 4
-        lhs, rhs, boundary = normal_form.summation_by_parts(F, G, 8)
-        return boundary == 0.0 and abs(lhs - rhs) <= 1e-15, f"boundary {boundary}"
-
-    checks.append(("normalform.redistribution_interior", redistribution))
-    return checks
-
-
-def _sequences_checks() -> list[Check]:
-    checks: list[Check] = []
-
-    def linearity():
-        rng = random.Random(21)
-        a = random_float_sequence(rng, 12, cap=0.7)
-        b = random_float_sequence(rng, 12, cap=0.7)
-        ca, cb = 0.37 - 0.1j, -0.52 + 0.25j
-        combo = [ca * x + cb * y for x, y in zip(a.values, b.values)]
-        ok = True
-        for m in (1, 2, 3):
-            for n in range(10):
-                lhs = forward_difference(combo, m, n)
-                rhs = ca * forward_difference(a, m, n) + cb * forward_difference(b, m, n)
-                ok = ok and abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-        return ok, "Delta^m is linear"
-
-    checks.append(("sequences.linearity", linearity))
-
-    def composition():
-        rng = random.Random(22)
-        a = random_float_sequence(rng, 16, cap=0.8)
-        ok = True
-        for m1, m2 in ((1, 1), (1, 2), (2, 3)):
-            inner = lambda n, m2=m2: forward_difference(a, m2, n)
-            for n in range(8):
-                lhs = sum(
-                    (-1) ** (m1 - j) * math.comb(m1, j) * inner(n + j)
-                    for j in range(m1 + 1)
-                )
-                rhs = forward_difference(a, m1 + m2, n)
-                ok = ok and abs(lhs - rhs) <= 1e-12
-        return ok, "Delta^{m1} Delta^{m2} = Delta^{m1+m2}"
-
-    checks.append(("sequences.composition", composition))
-
-    def bounded():
-        rng = random.Random(23)
-        a = random_float_sequence(rng, 40, cap=0.999)
-        ok = all(
-            abs(forward_difference(a, m, n)) <= 2.0**m + 1e-12
-            for m in range(7)
-            for n in range(-m, 41)
-        )
-        return ok, "|Delta^m a| <= 2^m"
-
-    checks.append(("sequences.difference_bound", bounded))
-
-    def monotone():
-        rng = random.Random(24)
-        a = random_float_sequence(rng, 60, cap=0.9)
-        prev_d, prev_p = -1.0, -1.0
-        ok = True
-        for N in (5, 15, 30, 59):
-            rep = lukic_partial_sums(a, 2, N)
-            ok = ok and rep.diff_energy >= prev_d - 1e-15 and rep.power_energy >= prev_p - 1e-15
-            prev_d, prev_p = rep.diff_energy, rep.power_energy
-        return ok, "energies monotone in N"
-
-    checks.append(("sequences.energy_monotone", monotone))
     return checks
 
 
 def _measures_checks() -> list[Check]:
     checks: list[Check] = []
-
-    def mass():
-        w = measures.bernstein_szego_weight([0.5], 2048)
-        dev = abs(float(np.mean(w)) - 1.0)
-        return dev <= 5e-9, f"mass deviation {dev:.2e}"
-
-    checks.append(("measures.mass_normalization", mass))
-
-    def szego_identity():
-        val = measures.szego_functional(
-            measures.MeasureSpec.bernstein_szego([0.5]), 0, 2048
-        ).value
-        dev = abs(val - (-math.log(0.75)))
-        return dev <= 1e-8, f"deviation {dev:.2e}"
-
-    checks.append(("measures.szego_identity", szego_identity))
-
-    def roundtrip():
-        prefix = VerblunskySequence((0.5, -0.2 + 0.1j, 0.3j))
-        mom = measures.trig_moments(measures.MeasureSpec.bernstein_szego(prefix), 3, 4096)
-        rec = measures.verblunsky_from_moments(mom)
-        dev = max(abs(x - y) for x, y in zip(prefix.values, rec.values))
-        return dev <= 1e-7, f"recovery deviation {dev:.2e}"
-
-    checks.append(("measures.moment_roundtrip", roundtrip))
 
     def series_oracle():
         prefix = VerblunskySequence((0.4, 0.2 - 0.3j, -0.1j, 0.25))
@@ -411,32 +245,12 @@ def _absorb_checks() -> list[Check]:
     return checks
 
 
-def _kernel_checks() -> list[Check]:
-    checks: list[Check] = []
-
-    def scalar_consistency():
-        prefix = VerblunskySequence((0.3, 0.2j, -0.4, 0.1 - 0.1j))
-        z = np.exp(1j * measures.theta_grid(16))
-        grid = _kernels.log_phistar_abs(np.asarray(prefix.values), z)
-        dev = 0.0
-        for g in range(16):
-            _, ps = measures.szego_recursion_polynomials(prefix, complex(z[g]))
-            dev = max(dev, abs(math.log(abs(ps)) - float(grid[g])))
-        return dev <= 1e-12, f"max dev vs scalar recursion {dev:.2e}"
-
-    checks.append(("kernels.scalar_consistency", scalar_consistency))
-    return checks
-
-
 SUITES = {
     "gram": _gram_checks,
-    "algebra": _algebra_checks,
     "normalform": _normalform_checks,
-    "sequences": _sequences_checks,
     "measures": _measures_checks,
     "sumrule": _sumrule_checks,
     "absorb": _absorb_checks,
-    "kernels": _kernel_checks,
 }
 
 

@@ -16,7 +16,8 @@ from opuckit.absorption import (
 )
 from opuckit.normal_form import NormalFormMonomial
 from opuckit.sequences import VerblunskySequence
-from opuckit.suites import random_float_sequence
+
+from helpers import random_float_sequence
 
 
 class TestExponents:

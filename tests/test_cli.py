@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,16 @@ class TestFamilies:
         fam = FamilySpec(kind="explicit", values=(0.1, 0.2))
         with pytest.raises(ValueError):
             fam.generate(5)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("c", complex(0.5, math.nan)), ("gamma", math.inf), ("beta", -math.inf),
+         ("modulus_cap", math.nan)],
+        ids=["c-imag-nan", "gamma-inf", "beta-minus-inf", "cap-nan"],
+    )
+    def test_non_finite_parameter_is_refused_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            FamilySpec(kind="rotated", **{field: value})
 
     def test_random_is_prefix_consistent(self):
         for seed in range(5):
@@ -215,10 +226,17 @@ class TestCliCommands:
         assert main(argv) == 2
         assert "N = -5" in capsys.readouterr().err
 
-    def test_normalform_verify(self, capsys):
-        assert main(["normalform", "verify"]) == 0
-        out = capsys.readouterr().out
-        assert "[PASS]" in out and "[FAIL]" not in out
+    def test_verify_normalform_suite_names_its_13_checks(self, capsys):
+        assert main(["verify", "--suite", "normalform"]) == 0
+        *rows, total = capsys.readouterr().out.splitlines()
+        expected = [f"normalform.pointwise.k{k}.q{q}" for k in (1, 2, 3) for q in (1, 2, 3, 4)]
+        assert [row.split()[1] for row in rows] == expected + ["normalform.telescoping_factorization"]
+        assert all(row.startswith("[PASS]") for row in rows)
+        assert total == "13/13 checks passed"
+
+    def test_verify_all_runs_every_check_of_the_chain(self, capsys):
+        assert main(["verify", "--suite", "all"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "40/40 checks passed"
 
     def test_absorb_probe_gn(self, tmp_path):
         out = tmp_path / "probe.csv"
@@ -521,14 +539,19 @@ class TestBadInput:
              "--epsilon", "-1"],
             ["absorb", "probe", "--family", "power", "--c", "0.5", "--m", "2", "--k", "2",
              "--epsilon", "0"],
+            ["absorb", "probe", "--family", "power", "--c", "0.5", "--gamma", "0.3", "--m", "2",
+             "--k", "2", "--epsilon", "inf", "--n-list", "10,20"],
             ["absorb", "probe", "--family", "power", "--c", "0.5", "--m", "2", "--k", "2",
              "--n-list", "40,-5"],
             ["absorb", "probe", "--family", "power", "--c", "0.5", "--m", "3", "--r", "1",
              "--n-list", "-5"],
+            ["verify", "--suite", "sequences"],
+            ["verify", "--suite", "kernels"],
         ],
         ids=["no-family", "generate-no-family", "measure-no-family", "explicit-no-values",
              "absorb-no-probe", "absorb-k-0", "moments-negative-kmax", "absorb-negative-epsilon",
-             "absorb-zero-epsilon", "absorb-k-negative-n", "absorb-r-negative-n"],
+             "absorb-zero-epsilon", "absorb-inf-epsilon", "absorb-k-negative-n",
+             "absorb-r-negative-n", "verify-sequences", "verify-kernels"],
     )
     def test_exits_2_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2
@@ -678,6 +701,28 @@ def test_sizes_past_reach_exit_2_at_once(argv, message):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     if message is not None:
         assert lines[0].startswith("error: " + message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sumrule", "report", "--family", "rotated", "--c", "0.5", "--beta", "inf"],
+        ["sumrule", "report", *POWER, "--gamma", "inf"],
+        ["sumrule", "report", "--family", "power", "--c", "inf"],
+        ["generate", *POWER, "--c-imag", "inf", "--n", "3"],
+    ],
+    ids=["beta-inf", "gamma-inf", "c-inf", "c-imag-inf"],
+)
+def test_non_finite_family_parameter_exits_2_before_numpy_runs(argv):
+    """`--beta inf` printed a numpy RuntimeWarning and its source line before
+    the error, and `--gamma inf` ran on the sequence (c, 0, 0, ...)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 GRAM_FLAGS = [("certify", "--m-max"), ("identity", "--m-max"), ("export", "--m")]

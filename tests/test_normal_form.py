@@ -18,11 +18,9 @@ from opuckit.normal_form import (
 from opuckit.rationals import GaussianRational
 from opuckit.sequences import VerblunskySequence, forward_difference
 from opuckit.shift_algebra import ShiftPolynomial, ideal_power_decompose
-from opuckit.suites import (
-    random_exact_sequence,
-    random_float_sequence,
-    random_ideal_member,
-)
+from opuckit.suites import random_exact_sequence, random_ideal_member
+
+from helpers import random_float_sequence
 
 
 def x(k, i):

@@ -22,12 +22,13 @@ from opuckit.shift_algebra import (
 )
 from opuckit.suites import (
     random_exact_sequence,
-    random_float_sequence,
     random_gaussian_rational,
     random_ideal_member,
     random_laurent_monomial,
 )
 from opuckit.sum_rule import hm_fourier, hm_shift_symbol
+
+from helpers import random_float_sequence
 
 FIXED = settings.get_profile("fixed")
 

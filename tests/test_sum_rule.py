@@ -24,7 +24,8 @@ from opuckit.sum_rule import (
     _quadratic_form_complex,
 )
 from opuckit.shift_algebra import ShiftPolynomial
-from opuckit.suites import random_float_sequence
+
+from helpers import random_float_sequence
 
 FIXED = settings.get_profile("fixed")
 
