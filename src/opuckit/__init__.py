@@ -71,7 +71,6 @@ from .sequences import (
 )
 from .shift_algebra import (
     IdealDecomposition,
-    IdealTerm,
     MomentQuery,
     ShiftPolynomial,
     coefficient_map,

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .normal_form import NormalFormMonomial, _monomial_term
 from .sequences import VerblunskySequence, difference_array, lp_norm, lukic_partial_sums
-from .shift_algebra import _table_sums
+from .shift_algebra import NormalFormMonomial, _monomial_term, _table_sums
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,20 +31,6 @@ VERSION_HEADER = f"# opuckit {__version__}"
 # grows about 4x every two orders; `identity --m-max 48` takes 119 s and
 # `export --m 48` 8 s with 107 MB of JSON, and both grow polynomially.
 GRAM_MAX_ORDER = {"certify": 20, "identity": 48, "export": 48}
-
-
-@dataclass
-class RunConfig:
-    """Sweep configuration; defaults are the documented desk-scale settings."""
-
-    grid_size: int = 4096
-    m_list: tuple = (1,)
-    n_list: tuple = (250, 500, 1000, 2000)
-    seed: int = 0
-    out: str | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def classify_k_trend(values) -> str:
@@ -129,21 +114,22 @@ def cmd_generate(args) -> int:
 
 def cmd_sumrule(args) -> int:
     family = _family_from_args(args)
-    config = RunConfig(
-        grid_size=args.grid,
-        m_list=_parse_int_list(args.m),
-        n_list=_parse_int_list(args.n_list),
-        seed=args.seed,
-        out=args.out,
-    )
+    m_list, n_list = _parse_int_list(args.m), _parse_int_list(args.n_list)
     # one sequence for every N: each row describes a prefix of it
-    seq = family.generate(max(config.n_list))
-    reports = sum_rule.decomposition_sweep(seq, config.m_list, config.n_list)
+    seq = family.generate(max(n_list))
+    reports = sum_rule.decomposition_sweep(seq, m_list, n_list)
     lines = [VERSION_HEADER, sum_rule.DecompositionReport.CSV_HEADER]
     lines += [rep.csv_row() for rep in reports]
     _emit("\n".join(lines) + "\n", args.out)
     if args.out:
-        sidecar = {"family": family.to_dict(), **json.loads(config.to_json())}
+        sidecar = {
+            "family": family.to_dict(),
+            "grid_size": args.grid,
+            "m_list": m_list,
+            "n_list": n_list,
+            "seed": args.seed,
+            "out": args.out,
+        }
         # one line: without indent= json runs its C encoder, with it the Python one
         with open(args.out + ".config.json", "w") as fh:
             fh.write(json.dumps(sidecar, sort_keys=True) + "\n")

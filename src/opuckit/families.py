@@ -44,6 +44,8 @@ class FamilySpec:
             value = getattr(self, name)
             if not cmath.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if self.modulus_cap < 0:
+            raise ValueError(f"modulus_cap must be >= 0, got {self.modulus_cap}")
 
     def label(self) -> str:
         if self.kind == "power":
@@ -64,23 +66,26 @@ class FamilySpec:
         if len(n) != N + 1:
             # numpy returns an empty range, not an error, for lengths near 2**63
             raise ValueError(f"N = {N} is past the longest array numpy can index")
-        if self.kind == "power":
-            vals = self.c / (n + 1.0) ** self.gamma
-        elif self.kind == "rotated":
-            vals = self.c * np.exp(1j * self.beta * n) / (n + 1.0) ** self.gamma
-        elif self.kind == "random":
-            rng = np.random.default_rng(self.seed)
-            draws = rng.uniform(size=(N + 1, 2))
-            radii = self.modulus_cap * np.sqrt(draws[:, 0])
-            vals = radii * np.exp(2j * np.pi * draws[:, 1])
-        elif self.kind == "constant":
-            vals = np.full(N + 1, complex(self.c))
-        else:
-            if len(self.values) < N + 1:
-                raise ValueError(
-                    f"explicit family has {len(self.values)} entries, need {N + 1}"
-                )
-            vals = np.asarray(self.values[: N + 1], dtype=np.complex128)
+        # a huge finite parameter takes entries to inf or nan, which the
+        # sequence refuses, or to 0, their limit: numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if self.kind == "power":
+                vals = self.c / (n + 1.0) ** self.gamma
+            elif self.kind == "rotated":
+                vals = self.c * np.exp(1j * self.beta * n) / (n + 1.0) ** self.gamma
+            elif self.kind == "random":
+                rng = np.random.default_rng(self.seed)
+                draws = rng.uniform(size=(N + 1, 2))
+                radii = self.modulus_cap * np.sqrt(draws[:, 0])
+                vals = radii * np.exp(2j * np.pi * draws[:, 1])
+            elif self.kind == "constant":
+                vals = np.full(N + 1, complex(self.c))
+            else:
+                if len(self.values) < N + 1:
+                    raise ValueError(
+                        f"explicit family has {len(self.values)} entries, need {N + 1}"
+                    )
+                vals = np.asarray(self.values[: N + 1], dtype=np.complex128)
         return VerblunskySequence(tuple(complex(v) for v in vals))
 
     def to_dict(self) -> dict:

@@ -4,7 +4,9 @@ A normal-form monomial of degree 2k is
 
     coeff * prod_nu (Delta^{a_nu} a)_{n+l_nu} * prod_mu (Delta^{b_mu} conj(a))_{n+r_mu},
 
-the atom into which every diagonal-ideal expansion converts.  Values come
+the term type in which `shift_algebra.ideal_power_decompose` emits a
+diagonal-ideal expansion; the class lives there and is re-exported here.
+`from_ideal_expansion` is the membership gate in front of it.  Values come
 from one table evaluator for both kinds of scalar: exact (a GaussianRational)
 over sequences with GaussianRational or Fraction entries, the test oracle,
 and complex over float sequences, the experiment engine.  The differences
@@ -19,15 +21,15 @@ identity that can be checked, not an error bound taken on faith.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .rationals import GaussianRational
 from .shift_algebra import (
     IdealDecomposition,
+    NormalFormMonomial,
     ShiftPolynomial,
     ideal_power_decompose,
+    _monomial_term,
     _polynomial_terms,
     _scalar,
     _table_sums,
@@ -38,90 +40,20 @@ class MembershipError(ValueError):
     """The polynomial failed the ideal-power membership it was declared to satisfy."""
 
 
-@dataclass(frozen=True)
-class NormalFormMonomial:
-    """Product of shifted finite differences of a and conj(a) with a coefficient."""
-
-    k: int
-    holo_factors: tuple  # ((difference order, shift), ...) of length k
-    anti_factors: tuple  # ((difference order, shift), ...) of length k
-    coeff: object = 1  # complex or GaussianRational
-
-    def __post_init__(self):
-        holo = tuple((int(a), int(s)) for a, s in self.holo_factors)
-        anti = tuple((int(b), int(s)) for b, s in self.anti_factors)
-        if len(holo) != self.k or len(anti) != self.k:
-            raise ValueError("factor lists must both have length k")
-        if any(a < 0 for a, _ in holo + anti):
-            raise ValueError("difference orders must be >= 0")
-        object.__setattr__(self, "holo_factors", holo)
-        object.__setattr__(self, "anti_factors", anti)
-
-    @property
-    def difference_count(self) -> int:
-        return sum(a for a, _ in self.holo_factors) + sum(b for b, _ in self.anti_factors)
-
-    def as_float(self) -> "NormalFormMonomial":
-        c = self.coeff
-        if isinstance(c, GaussianRational):
-            c = c.to_complex()
-        return NormalFormMonomial(self.k, self.holo_factors, self.anti_factors, complex(c))
-
-    def to_json(self) -> str:
-        c = self.coeff
-        if isinstance(c, GaussianRational):
-            coeff = {"re": str(c.re), "im": str(c.im)}
-        else:
-            c = complex(c)
-            coeff = {"re": c.real, "im": c.imag}
-        return json.dumps(
-            {
-                "k": self.k,
-                "holo_factors": [list(f) for f in self.holo_factors],
-                "anti_factors": [list(f) for f in self.anti_factors],
-                "coeff": coeff,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "NormalFormMonomial":
-        obj = json.loads(text)
-        raw = obj["coeff"]
-        if isinstance(raw["re"], str):
-            coeff = GaussianRational(Fraction(raw["re"]), Fraction(raw["im"]))
-        else:
-            coeff = complex(raw["re"], raw["im"])
-        return cls(
-            obj["k"],
-            tuple(tuple(f) for f in obj["holo_factors"]),
-            tuple(tuple(f) for f in obj["anti_factors"]),
-            coeff,
-        )
-
-
 def from_ideal_expansion(decomposition: IdealDecomposition) -> list[NormalFormMonomial]:
-    """Convert an ideal-power expansion into normal-form monomials.
+    """The normal-form monomials of an ideal-power expansion, or its failure.
 
-    Each term coeff * prod v^shift * prod (v-1)^order maps factor by factor
-    through (x-1)^a P^i acting on a as (Delta^a a)_{n+i}; by construction
-    every output has difference count >= the order of the decomposition.
+    Each term coeff * prod v^shift * prod (v-1)^order already is the
+    monomial of (x-1)^a P^i acting on a as (Delta^a a)_{n+i}; by
+    construction every one has difference count >= the order of the
+    decomposition.  A failed membership raises with its witness moment.
     """
     if not decomposition.member:
         raise MembershipError(
             f"not a member of the ideal power {decomposition.order}; "
             f"witness moment {decomposition.witness.exponents}"
         )
-    k = decomposition.k
-    monomials = []
-    for term in decomposition.terms:
-        holo = tuple(
-            (term.gen_orders[slot], term.shifts[slot]) for slot in range(k)
-        )
-        anti = tuple(
-            (term.gen_orders[k + slot], term.shifts[k + slot]) for slot in range(k)
-        )
-        monomials.append(NormalFormMonomial(k, holo, anti, term.coeff))
-    return monomials
+    return list(decomposition.terms)
 
 
 def evaluate(monomial: NormalFormMonomial, seq, n: int):
@@ -134,10 +66,6 @@ def evaluate(monomial: NormalFormMonomial, seq, n: int):
     """
     (values,), den = _table_sums(monomial.k, seq, (n,), [_monomial_term(monomial)])
     return _scalar(values[0], den)
-
-
-def _monomial_term(monomial: NormalFormMonomial) -> tuple:
-    return monomial.coeff, monomial.holo_factors + monomial.anti_factors
 
 
 def pointwise_equality_check(P: ShiftPolynomial, q: int, seq, window) -> float:

@@ -8,9 +8,11 @@ The block is the degree-(2m-2) polynomial
 whose numerator is exactly divisible by the denominator (the division is
 performed symbolically and doubles as the divisibility proof), together
 with its Gram representation P_m = W^T M W over the degree-(m-1) monomials
-in three variables.  High powers like (u+v-t)^{2m} shred float accuracy, so
-every flagship check here is exact rational; floats appear only in the
-Gauss-Legendre oracle that integrates the equivalent double-integral form.
+in three variables.  P_m is a dict of exact coefficients, which the Gram
+identity check compares coefficientwise in integers.  High powers like
+(u+v-t)^{2m} shred float accuracy, so every flagship check here is exact
+rational; floats appear only in the Gauss-Legendre oracle that integrates
+the equivalent double-integral form.
 """
 
 from __future__ import annotations
@@ -26,107 +28,6 @@ MultiIndex3 = tuple  # (a1, a2, a3) with a1 + a2 + a3 = m - 1
 
 class ExactDivisionError(ArithmeticError):
     """The symbolic division left a remainder (never expected)."""
-
-
-class Poly3:
-    """Dense-exponent sparse polynomial in three variables over Fraction."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for exps, coeff in (terms or {}).items():
-            c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-            if c:
-                e = (int(exps[0]), int(exps[1]), int(exps[2]))
-                clean[e] = clean.get(e, Fraction(0)) + c
-        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c})
-
-    def __setattr__(self, *_):
-        raise AttributeError("Poly3 is immutable")
-
-    @classmethod
-    def constant(cls, c) -> "Poly3":
-        return cls({(0, 0, 0): Fraction(c)})
-
-    @classmethod
-    def variable(cls, i: int) -> "Poly3":
-        e = [0, 0, 0]
-        e[i] = 1
-        return cls({tuple(e): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, exps, coeff=1) -> "Poly3":
-        return cls({tuple(exps): Fraction(coeff)})
-
-    def __add__(self, other):
-        if not isinstance(other, Poly3):
-            other = Poly3.constant(other)
-        merged = dict(self.terms)
-        for e, c in other.terms.items():
-            merged[e] = merged.get(e, Fraction(0)) + c
-        return Poly3(merged)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly3({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly3):
-            other = Poly3.constant(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, Poly3):
-            c = Fraction(other)
-            return Poly3({e: c * v for e, v in self.terms.items()})
-        prod = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                prod[e] = prod.get(e, Fraction(0)) + c1 * c2
-        return Poly3(prod)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("nonnegative powers only")
-        result = Poly3.constant(1)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        return isinstance(other, Poly3) and self.terms == other.terms
-
-    def substitute(self, p0: "Poly3", p1: "Poly3", p2: "Poly3") -> "Poly3":
-        """Compose: replace the three variables by the given polynomials."""
-        maxdeg = [0, 0, 0]
-        for e in self.terms:
-            for i in range(3):
-                maxdeg[i] = max(maxdeg[i], e[i])
-        powers = []
-        for p, d in zip((p0, p1, p2), maxdeg):
-            ps = [Poly3.constant(1)]
-            for _ in range(d):
-                ps.append(ps[-1] * p)
-            powers.append(ps)
-        total = Poly3()
-        for e, c in self.terms.items():
-            term = powers[0][e[0]] * powers[1][e[1]] * powers[2][e[2]]
-            total = total + term * c
-        return total
-
-    def eval(self, x0, x1, x2):
-        total = 0
-        for (i, j, l), c in self.terms.items():
-            total = total + c * x0**i * x1**j * x2**l
-        return total
-
-    def total_degrees(self) -> set:
-        return {sum(e) for e in self.terms}
 
 
 def multinomial(m: int, alpha: MultiIndex3) -> int:
@@ -276,10 +177,11 @@ def gram_quadrature(m: int, nodes: int | None = None) -> np.ndarray:
     return out
 
 
-def pm_polynomial(m: int) -> Poly3:
+def pm_polynomial(m: int) -> dict:
     """Exact P_m in the variables (u, v, t) by symbolic division.
 
-    Expands the numerator in the shifted variables a = u-t, b = v-t, where
+    Returns the nonzero coefficients as {(i, j, l): Fraction} for the
+    monomials u^i v^j t^l.  Expands the numerator in the shifted variables a = u-t, b = v-t, where
     the divisor (u-t)(v-t) is the monomial ab; exactness of the division is
     verified term by term and a remainder raises.  The numerator is built
     from multinomial coefficients in integers, the substitution back to
@@ -318,7 +220,7 @@ def pm_polynomial(m: int) -> Poly3:
                 e = (x, y, l + i - x + j - y)
                 terms[e] = terms.get(e, 0) + (-term if (i - x + j - y) % 2 else term)
     den = 2 * math.comb(n, m)
-    return Poly3({e: Fraction(c, den) for e, c in terms.items() if c})
+    return {e: Fraction(c, den) for e, c in terms.items() if c}
 
 
 def gram_identity_check(m: int) -> bool:
@@ -338,9 +240,9 @@ def gram_identity_check(m: int) -> bool:
             lhs[e] = lhs.get(e, 0) + c.numerator * (lhs_den // c.denominator)
 
     p = pm_polynomial(m)
-    rhs_den = math.lcm(*(c.denominator for c in p.terms.values()))
+    rhs_den = math.lcm(*(c.denominator for c in p.values()))
     rhs: dict = {}
-    for (x, y, z), c in p.terms.items():
+    for (x, y, z), c in p.items():
         # u^x v^y t^z = (-1)^(y+z) Z3^x (Z1+Z2+Z3)^y Z2^z
         coeff = c.numerator * (rhs_den // c.denominator)
         if (y + z) % 2:

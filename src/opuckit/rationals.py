@@ -137,4 +137,3 @@ class GaussianRational:
 
 
 GR_ZERO = GaussianRational(0)
-GR_ONE = GaussianRational(1)

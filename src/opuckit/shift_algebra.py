@@ -14,8 +14,10 @@ difference expansion around the all-ones point: negative exponents are
 cleared per variable (the clearing monomial is a unit, so it cannot change
 the vanishing order), the cleared polynomial is split variable by variable
 as C = C|_{v=1} + (v-1) D, and splitting stops once a branch has collected
-q generator factors.  Branches that run out of variables early are scalar
-jets of order < q; membership holds iff they all vanish.  In the shifted
+q generator factors.  Each such term coeff * v^shift * (v-1)^order is
+emitted as the normal-form monomial of the factors (Delta^order a)_{n+shift}
+it maps to.  Branches that run out of variables early are scalar jets of
+order < q; membership holds iff they all vanish.  In the shifted
 coordinates the diagonal ideal is the irrelevant ideal, so this degree
 inspection is complete: a Taylor coefficient of order < q survives exactly
 when some mixed derivative of that order is nonzero at the diagonal.
@@ -23,6 +25,7 @@ when some mixed derivative of that order is nonzero at the diagonal.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -190,8 +193,6 @@ class ShiftPolynomial:
     # -- serialization ------------------------------------------------
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps(
             {
                 "k": self.k,
@@ -204,8 +205,6 @@ class ShiftPolynomial:
 
     @classmethod
     def from_json(cls, text: str) -> "ShiftPolynomial":
-        import json
-
         obj = json.loads(text)
         terms = {
             tuple(t["exp"]): GaussianRational(Fraction(t["re"]), Fraction(t["im"]))
@@ -271,25 +270,6 @@ def vanishing_order(P: ShiftPolynomial, cap: int) -> int:
 
 
 @dataclass(frozen=True)
-class IdealTerm:
-    """One summand coeff * prod v^shift * prod (v-1)^gen of a decomposition."""
-
-    gen_orders: tuple
-    shifts: tuple
-    coeff: GaussianRational
-
-    def polynomial(self, k: int) -> ShiftPolynomial:
-        result = ShiftPolynomial.monomial(k, self.shifts, self.coeff)
-        for slot, a in enumerate(self.gen_orders):
-            if a:
-                e = [0] * (2 * k)
-                e[slot] = 1
-                gen = ShiftPolynomial.monomial(k, e) - ShiftPolynomial.one(k)
-                result = result * gen**a
-        return result
-
-
-@dataclass(frozen=True)
 class IdealDecomposition:
     """Outcome of an ideal-power membership test with constructive expansion.
 
@@ -300,7 +280,7 @@ class IdealDecomposition:
     k: int
     order: int
     member: bool
-    terms: tuple = ()
+    terms: tuple = ()  # tuple of NormalFormMonomial
     witness: MomentQuery | None = None
 
     def recompose(self) -> ShiftPolynomial:
@@ -308,7 +288,7 @@ class IdealDecomposition:
             raise ValueError("cannot recompose a failed membership")
         total = ShiftPolynomial.zero(self.k)
         for t in self.terms:
-            total = total + t.polynomial(self.k)
+            total = total + t.polynomial()
         return total
 
 
@@ -350,12 +330,13 @@ def _divide_at_one(terms: dict, slot: int) -> tuple[dict, dict]:
 def ideal_power_decompose(P: ShiftPolynomial, q: int) -> IdealDecomposition:
     """Membership of P in the q-th diagonal ideal power, with exact expansion.
 
-    On success every term has total generator order exactly q (higher powers
-    are absorbed into the cofactors) and recomposition reproduces P exactly.
-    The expansion is the deterministic divided-difference one described in
-    the module docstring, so outputs are reproducible.  It runs on Gaussian
-    integers over the lcm of P's coefficient denominators; a GaussianRational
-    is built only for the coefficient of an emitted term.
+    On success every term is a NormalFormMonomial with difference count
+    exactly q (higher powers are absorbed into the cofactors) and
+    recomposition reproduces P exactly.  The expansion is the deterministic
+    divided-difference one described in the module docstring, so outputs
+    are reproducible.  It runs on Gaussian integers over the lcm of P's
+    coefficient denominators; a GaussianRational is built only for the
+    coefficient of an emitted term.
     """
     if q < 0:
         raise ValueError("ideal power must be >= 0")
@@ -375,19 +356,14 @@ def ideal_power_decompose(P: ShiftPolynomial, q: int) -> IdealDecomposition:
         for exps, c in P.terms.items()
     }
 
-    final: list[IdealTerm] = []
+    final: list[NormalFormMonomial] = []
     jets: list[tuple] = []
 
     def split(gen: tuple, terms: dict, slot: int):
         if sum(gen) == q:
             for exps, coeff in terms.items():
-                final.append(
-                    IdealTerm(
-                        gen_orders=gen,
-                        shifts=tuple(e - m for e, m in zip(exps, clearing)),
-                        coeff=_scalar(coeff, L),
-                    )
-                )
+                factors = tuple(zip(gen, (e - m for e, m in zip(exps, clearing))))
+                final.append(NormalFormMonomial(k, factors[:k], factors[k:], _scalar(coeff, L)))
             return
         if slot == nslots:
             # all variables consumed below order q: a scalar jet
@@ -427,9 +403,93 @@ def coefficient_map(P: ShiftPolynomial, seq, n: int):
     return _scalar(values[0], den)
 
 
+@dataclass(frozen=True)
+class NormalFormMonomial:
+    """Product of shifted finite differences of a and conj(a) with a coefficient.
+
+    coeff * prod_nu (Delta^{a_nu} a)_{n+l_nu} * prod_mu (Delta^{b_mu} conj(a))_{n+r_mu}
+    is the image of the expansion term coeff * prod v^shift * prod (v-1)^order
+    under the coefficient map, so it is the term type of a decomposition.
+    """
+
+    k: int
+    holo_factors: tuple  # ((difference order, shift), ...) of length k
+    anti_factors: tuple  # ((difference order, shift), ...) of length k
+    coeff: object = 1  # complex or GaussianRational
+
+    def __post_init__(self):
+        holo = tuple((int(a), int(s)) for a, s in self.holo_factors)
+        anti = tuple((int(b), int(s)) for b, s in self.anti_factors)
+        if len(holo) != self.k or len(anti) != self.k:
+            raise ValueError("factor lists must both have length k")
+        if any(a < 0 for a, _ in holo + anti):
+            raise ValueError("difference orders must be >= 0")
+        object.__setattr__(self, "holo_factors", holo)
+        object.__setattr__(self, "anti_factors", anti)
+
+    @property
+    def difference_count(self) -> int:
+        return sum(a for a, _ in self.holo_factors) + sum(b for b, _ in self.anti_factors)
+
+    def polynomial(self) -> ShiftPolynomial:
+        """The expansion term coeff * prod v^shift * prod (v-1)^order it is the image of."""
+        k = self.k
+        factors = self.holo_factors + self.anti_factors
+        result = ShiftPolynomial.monomial(k, [s for _, s in factors], self.coeff)
+        for slot, (a, _) in enumerate(factors):
+            if a:
+                e = [0] * (2 * k)
+                e[slot] = 1
+                gen = ShiftPolynomial.monomial(k, e) - ShiftPolynomial.one(k)
+                result = result * gen**a
+        return result
+
+    def as_float(self) -> "NormalFormMonomial":
+        c = self.coeff
+        if isinstance(c, GaussianRational):
+            c = c.to_complex()
+        return NormalFormMonomial(self.k, self.holo_factors, self.anti_factors, complex(c))
+
+    def to_json(self) -> str:
+        c = self.coeff
+        if isinstance(c, GaussianRational):
+            coeff = {"re": str(c.re), "im": str(c.im)}
+        else:
+            c = complex(c)
+            coeff = {"re": c.real, "im": c.imag}
+        return json.dumps(
+            {
+                "k": self.k,
+                "holo_factors": [list(f) for f in self.holo_factors],
+                "anti_factors": [list(f) for f in self.anti_factors],
+                "coeff": coeff,
+            }
+        )
+
+    @classmethod
+    def from_json(cls, text: str) -> "NormalFormMonomial":
+        obj = json.loads(text)
+        raw = obj["coeff"]
+        if isinstance(raw["re"], str):
+            coeff = GaussianRational(Fraction(raw["re"]), Fraction(raw["im"]))
+        else:
+            coeff = complex(raw["re"], raw["im"])
+        return cls(
+            obj["k"],
+            tuple(tuple(f) for f in obj["holo_factors"]),
+            tuple(tuple(f) for f in obj["anti_factors"]),
+            coeff,
+        )
+
+
 def _polynomial_terms(P: ShiftPolynomial) -> list:
     """The terms of P for _table_sums: x^i y^j reads order-0 differences at shifts i and j."""
     return [(c, tuple((0, e) for e in exps)) for exps, c in P.terms.items()]
+
+
+def _monomial_term(monomial: NormalFormMonomial) -> tuple:
+    """The term of a normal-form monomial for _table_sums: its factors as they stand."""
+    return monomial.coeff, monomial.holo_factors + monomial.anti_factors
 
 
 def _table_sums(k: int, seq, window, *groups):

@@ -56,13 +56,14 @@ class TestFamilies:
             fam.generate(5)
 
     @pytest.mark.parametrize(
-        "field, value",
-        [("c", complex(0.5, math.nan)), ("gamma", math.inf), ("beta", -math.inf),
-         ("modulus_cap", math.nan)],
-        ids=["c-imag-nan", "gamma-inf", "beta-minus-inf", "cap-nan"],
+        "field, value, message",
+        [("c", complex(0.5, math.nan), "must be finite"), ("gamma", math.inf, "must be finite"),
+         ("beta", -math.inf, "must be finite"), ("modulus_cap", math.nan, "must be finite"),
+         ("modulus_cap", -0.5, "must be >= 0")],
+        ids=["c-imag-nan", "gamma-inf", "beta-minus-inf", "cap-nan", "cap-negative"],
     )
-    def test_non_finite_parameter_is_refused_at_construction(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+    def test_non_finite_parameter_is_refused_at_construction(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{field} {message}"):
             FamilySpec(kind="rotated", **{field: value})
 
     def test_random_is_prefix_consistent(self):
@@ -547,11 +548,12 @@ class TestBadInput:
              "--n-list", "-5"],
             ["verify", "--suite", "sequences"],
             ["verify", "--suite", "kernels"],
+            ["generate", "--family", "random", "--cap", "-0.5", "--n", "2"],
         ],
         ids=["no-family", "generate-no-family", "measure-no-family", "explicit-no-values",
              "absorb-no-probe", "absorb-k-0", "moments-negative-kmax", "absorb-negative-epsilon",
              "absorb-zero-epsilon", "absorb-inf-epsilon", "absorb-k-negative-n",
-             "absorb-r-negative-n", "verify-sequences", "verify-kernels"],
+             "absorb-r-negative-n", "verify-sequences", "verify-kernels", "random-negative-cap"],
     )
     def test_exits_2_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2
@@ -723,6 +725,34 @@ def test_non_finite_family_parameter_exits_2_before_numpy_runs(argv):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "--family", "rotated", "--c", "0.5", "--beta", "1e308", "--n", "3"],
+         "|alpha_2| = nan is not < 1"),
+        (["generate", *POWER, "--gamma=-1000", "--n", "3"], "|alpha_1| = 5.357543035931337e+300"),
+    ],
+    ids=["beta-overflow", "gamma-divide-by-zero"],
+)
+def test_overflowing_family_exits_2_without_a_warning(argv, message):
+    """`--beta 1e308` overflows beta * n to inf, and numpy printed two
+    RuntimeWarnings before the error on the nan entry it made; `--gamma=-1000`
+    divided by a power that underflows to 0."""
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: " + message)
+
+
+def test_underflowing_power_family_gives_its_zeros_without_a_warning():
+    """(n+1)**1e308 overflows to inf, so c / inf is the exact 0 of the limit;
+    numpy warned about the overflow on the way."""
+    argv = ["generate", "--family", "power", "--c", "1e-320", "--gamma", "1e308", "--n", "2"]
+    code, out, err = run_cli(argv)
+    assert code == 0 and err == ""
+    assert out == "[[1e-320, 0.0], [0.0, 0.0], [0.0, 0.0]]\n"
 
 
 GRAM_FLAGS = [("certify", "--m-max"), ("identity", "--m-max"), ("export", "--m")]

@@ -208,7 +208,7 @@ class TestOracleEquality:
         k, q, P = member
         decomposition = ideal_power_decompose(P, q)
         assert decomposition.member
-        assert all(sum(t.gen_orders) == q for t in decomposition.terms)
+        assert all(t.difference_count == q for t in decomposition.terms)
         assert decomposition.recompose() == P
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -63,6 +64,27 @@ class TestFromIdealExpansion:
     def test_membership_failure_propagates(self):
         with pytest.raises(MembershipError):
             from_ideal_expansion(ideal_power_decompose(x(1, 1) - 1, 2))
+
+    def test_golden_digest(self):
+        # the JSON of every member's monomials and the message of every
+        # non-member, for members of order q tested at q and at q + 1
+        rng = random.Random(1301)
+        text = ""
+        for k in (1, 2, 3):
+            for q in (1, 2, 3, 4):
+                P = random_ideal_member(rng, k, q)
+                for order in (q, q + 1):
+                    decomposition = ideal_power_decompose(P, order)
+                    try:
+                        monos = from_ideal_expansion(decomposition)
+                    except MembershipError as exc:
+                        text += f"{k} {order} {exc}\n"
+                        continue
+                    text += "".join(m.to_json() + "\n" for m in monos)
+        assert (
+            hashlib.sha256(text.encode()).hexdigest()
+            == "2ee6ed65c25ed09713f1b8f8ad07226ad3fa6787c028fa3a069db088ac9846b6"
+        )
 
 
 class TestEvaluate:

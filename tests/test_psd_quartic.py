@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from opuckit.psd_quartic import (
     GramBlock,
     PsdCertificate,
-    Poly3,
     gram_closed_form,
     gram_identity_check,
     gram_quadrature,
@@ -22,6 +21,7 @@ from opuckit.psd_quartic import (
     psd_certificate,
     raw_m2_failure_exhibit,
 )
+from opuckit.shift_algebra import ShiftPolynomial
 
 
 def pm_integral_oracle(m, u, v, t, nodes=None):
@@ -113,12 +113,20 @@ def ldlt_oracle(matrix):
 
 
 def pm_power_oracle(m):
-    """P_m from Poly3 powers: divide the numerator by ab, substitute a = u-t, b = v-t."""
-    a, b, t = (Poly3.variable(i) for i in range(3))
-    numerator = (t + a + b) ** (2 * m) + t ** (2 * m) - (t + a) ** (2 * m) - (t + b) ** (2 * m)
-    assert all(i >= 1 and j >= 1 for i, j, _ in numerator.terms)
-    quotient = Poly3({(i - 1, j - 1, l): c for (i, j, l), c in numerator.terms.items()})
-    return quotient.substitute(a - t, b - t, t) * Fraction(1, 2 * math.comb(2 * m, m))
+    """Whether 2 C(2m, m) P_m (u-t)(v-t) = (u+v-t)^{2m} + t^{2m} - u^{2m} - v^{2m}.
+
+    Both sides are expanded in the shift-variable ring with u = x_1, v = x_2
+    and t = y_1, and compared exactly.
+    """
+    u, v, t = ShiftPolynomial.x(2, 1), ShiftPolynomial.x(2, 2), ShiftPolynomial.y(2, 1)
+    p = ShiftPolynomial(2, {(i, j, l, 0): c for (i, j, l), c in pm_polynomial(m).items()})
+    numerator = (u + v - t) ** (2 * m) + t ** (2 * m) - u ** (2 * m) - v ** (2 * m)
+    return p * (u - t) * (v - t) * (2 * math.comb(2 * m, m)) == numerator
+
+
+def pm_value(p, u, v, t):
+    """P_m at (u, v, t) from its coefficient dict."""
+    return sum(c * u**i * v**j * t**l for (i, j, l), c in p.items())
 
 
 def random_gram_matrices(seed=77, trials=25):
@@ -155,14 +163,14 @@ class TestPmPolynomial:
     def test_m1_is_half(self):
         # numerator expands to 2(u-t)(v-t); quotient 2 / (2 C(2,1)) = 1/2
         p = pm_polynomial(1)
-        assert p.terms == {(0, 0, 0): Fraction(1, 2)}
+        assert p == {(0, 0, 0): Fraction(1, 2)}
 
     def test_m2_degree_and_values(self):
         p = pm_polynomial(2)
-        assert p.total_degrees() == {2}
+        assert {sum(e) for e in p} == {2}
         # compare against the integral oracle at several points
         for u, v, t in ((1.0, 1.0, 0.0), (0.7, -0.4, 0.2), (2.0, 3.0, -1.0)):
-            assert float(p.eval(Fraction(u), Fraction(v), Fraction(t))) == pytest.approx(
+            assert float(pm_value(p, Fraction(u), Fraction(v), Fraction(t))) == pytest.approx(
                 pm_integral_oracle(2, u, v, t), rel=1e-12
             )
 
@@ -170,7 +178,7 @@ class TestPmPolynomial:
         for m in (1, 2, 3, 4):
             p = pm_polynomial(m)
             for u, v, t in ((1.3, -0.7, 0.4), (2.0, 0.5, -1.5)):
-                assert float(p.eval(Fraction(u), Fraction(v), Fraction(t))) == pytest.approx(
+                assert float(pm_value(p, Fraction(u), Fraction(v), Fraction(t))) == pytest.approx(
                     raw_quotient(m, u, v, t), rel=1e-10
                 )
 
@@ -178,7 +186,7 @@ class TestPmPolynomial:
         # the polynomial value at u = t equals the limit of the raw quotient
         m, v, t = 3, 0.8, 0.3
         p = pm_polynomial(m)
-        exact = float(p.eval(Fraction(t), Fraction(v), Fraction(t)))
+        exact = float(pm_value(p, Fraction(t), Fraction(v), Fraction(t)))
         for k in (3, 4, 5, 6):
             h = 10.0**-k
             centered = (raw_quotient(m, t + h, v, t) + raw_quotient(m, t - h, v, t)) / 2
@@ -187,12 +195,21 @@ class TestPmPolynomial:
     def test_symmetry_in_u_v(self):
         for m in (1, 2, 3, 5):
             p = pm_polynomial(m)
-            swapped = Poly3({(j, i, l): c for (i, j, l), c in p.terms.items()})
+            swapped = {(j, i, l): c for (i, j, l), c in p.items()}
             assert swapped == p
 
     def test_homogeneity(self):
         for m in (1, 2, 4, 6):
-            assert pm_polynomial(m).total_degrees() <= {2 * m - 2}
+            assert {sum(e) for e in pm_polynomial(m)} <= {2 * m - 2}
+
+    def test_golden_digest(self):
+        text = "".join(
+            f"{m} {e} {c}\n" for m in range(1, 13) for e, c in sorted(pm_polynomial(m).items())
+        )
+        assert (
+            hashlib.sha256(text.encode()).hexdigest()
+            == "4f876299e0b74b355a92ee676af14a9cb9a32bc16c750e86559041753a871173"
+        )
 
 
 class TestGram:
@@ -384,9 +401,11 @@ class TestIntegerGramPath:
         from opuckit import psd_quartic
 
         pm = pm_polynomial(3)
-        monkeypatch.setattr(psd_quartic, "pm_polynomial", lambda m: pm * Fraction(1, 2))
+        halved = {e: c / 2 for e, c in pm.items()}
+        monkeypatch.setattr(psd_quartic, "pm_polynomial", lambda m: halved)
         assert not gram_identity_check(3)
-        monkeypatch.setattr(psd_quartic, "pm_polynomial", lambda m: pm + Poly3.monomial((4, 0, 0), 1))
+        bumped_pm = {**pm, (4, 0, 0): pm.get((4, 0, 0), 0) + 1}
+        monkeypatch.setattr(psd_quartic, "pm_polynomial", lambda m: bumped_pm)
         assert not gram_identity_check(3)
         block = gram_closed_form(3)
         rows = [list(row) for row in block.entries]
@@ -396,9 +415,9 @@ class TestIntegerGramPath:
         monkeypatch.setattr(psd_quartic, "gram_closed_form", lambda m: bumped)
         assert not gram_identity_check(3)
 
-    def test_pm_polynomial_equals_poly3_powers(self):
+    def test_pm_polynomial_times_its_divisor_is_the_numerator(self):
         for m in range(1, 9):
-            assert pm_polynomial(m) == pm_power_oracle(m)
+            assert pm_power_oracle(m)
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(matrix=symmetric_rationals())

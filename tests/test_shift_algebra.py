@@ -10,8 +10,8 @@ from opuckit.rationals import GR_ZERO, GaussianRational
 from opuckit.sequences import VerblunskySequence
 from opuckit.shift_algebra import (
     IdealDecomposition,
-    IdealTerm,
     MomentQuery,
+    NormalFormMonomial,
     ShiftPolynomial,
     _compositions,
     coefficient_map,
@@ -229,7 +229,7 @@ class TestIdealDecompose:
         dec = ideal_power_decompose(P, 2)
         assert dec.member and len(dec.terms) == 1
         t = dec.terms[0]
-        assert t.gen_orders == (1, 1) and t.shifts == (0, 0)
+        assert t.holo_factors == ((1, 0),) and t.anti_factors == ((1, 0),)
         assert t.coeff == GaussianRational(1)
         assert dec.recompose() == P
 
@@ -254,7 +254,7 @@ class TestIdealDecompose:
         dec = ideal_power_decompose(P, 2)
         assert dec.member and len(dec.terms) == 1
         t = dec.terms[0]
-        assert t.gen_orders == (2, 0) and t.shifts == (-1, 0)
+        assert t.holo_factors == ((2, -1),) and t.anti_factors == ((0, 0),)
         assert dec.recompose() == P
 
     def test_order_zero_is_trivial(self):
@@ -270,7 +270,7 @@ class TestIdealDecompose:
             P = random_ideal_member(rng, k, q)
             dec = ideal_power_decompose(P, q)
             assert dec.member
-            assert all(sum(t.gen_orders) == q for t in dec.terms)
+            assert all(t.difference_count == q for t in dec.terms)
             assert dec.recompose() == P
 
     def test_membership_matches_full_expansion_oracle(self):
@@ -391,8 +391,8 @@ def oracle_ideal_power_decompose(P: ShiftPolynomial, q: int) -> IdealDecompositi
     def split(gen, terms, slot):
         if sum(gen) == q:
             for exps, coeff in terms.items():
-                shifts = tuple(e - m for e, m in zip(exps, clearing))
-                final.append(IdealTerm(gen_orders=gen, shifts=shifts, coeff=coeff))
+                factors = tuple(zip(gen, (e - m for e, m in zip(exps, clearing))))
+                final.append(NormalFormMonomial(k, factors[:k], factors[k:], coeff))
             return
         if slot == nslots:
             coeff = terms.get(tuple([0] * nslots), GR_ZERO)
