@@ -15,8 +15,6 @@ __version__ = "0.1.0"
 KERNEL_BACKEND = "python"
 
 from .absorption import (
-    GNExponent,
-    HolderBudget,
     absorption_inequality_probe,
     absorption_probes,
     critical_orders,
@@ -29,7 +27,6 @@ from .families import FamilySpec
 from .measures import (
     MeasureSpec,
     MomentPositivityError,
-    SzegoFunctionalValue,
     WeightPositivityError,
     bernstein_szego_weight,
     szego_functional,
@@ -71,7 +68,6 @@ from .sequences import (
 )
 from .shift_algebra import (
     IdealDecomposition,
-    MomentQuery,
     ShiftPolynomial,
     coefficient_map,
     diag_eval,
@@ -81,11 +77,9 @@ from .shift_algebra import (
 )
 from .sum_rule import (
     DecompositionReport,
-    HmSymbol,
     decomposition_report,
     decomposition_sweep,
     hm_closed_form,
-    hm_fourier,
     hm_shift_symbol,
     log_tail,
     log_tails,

@@ -20,40 +20,14 @@ from .sequences import VerblunskySequence, difference_array, lp_norm, lukic_part
 from .shift_algebra import NormalFormMonomial, _monomial_term, _table_sums
 
 
-@dataclass(frozen=True)
-class GNExponent:
+def gn_exponent(m: int, r: int) -> Fraction:
     """Interpolation exponent p_r = 2(m+1)/(r+1) for the r-th difference."""
-
-    m: int
-    r: int
-    p_r: Fraction
-
-
-@dataclass(frozen=True)
-class HolderBudget:
-    """Reciprocal-exponent sum of a degree-2k monomial's factors."""
-
-    m: int
-    k: int
-    orders: tuple  # (a_1..a_k, b_1..b_k), length 2k
-    exponent_sum: Fraction
-
-    @property
-    def subcritical(self) -> bool:
-        return self.exponent_sum < 1
-
-    @property
-    def critical_count_met(self) -> bool:
-        return sum(self.orders) >= self.m + 1 - self.k
-
-
-def gn_exponent(m: int, r: int) -> GNExponent:
     if not 0 <= r <= m:
         raise ValueError(f"r = {r} out of range 0..{m}")
-    return GNExponent(m=m, r=r, p_r=Fraction(2 * (m + 1), r + 1))
+    return Fraction(2 * (m + 1), r + 1)
 
 
-def holder_budget(m: int, k: int, orders) -> HolderBudget:
+def holder_budget(m: int, k: int, orders) -> Fraction:
     """Exact exponent budget sum 1/p_{a_nu} + sum 1/p_{b_mu}.
 
     Each reciprocal is (order+1)/(2(m+1)), so for total order m+1-k the sum
@@ -66,8 +40,7 @@ def holder_budget(m: int, k: int, orders) -> HolderBudget:
         raise ValueError(f"need 2k = {2 * k} orders")
     if any(o < 0 for o in orders):
         raise ValueError("orders must be nonnegative")
-    total = Fraction(sum(o + 1 for o in orders), 2 * (m + 1))
-    return HolderBudget(m=m, k=k, orders=orders, exponent_sum=total)
+    return Fraction(sum(o + 1 for o in orders), 2 * (m + 1))
 
 
 def critical_orders(m: int, k: int) -> list[int]:
@@ -96,7 +69,7 @@ def gn_ratio_probe(seq, m: int, r: int, N: int) -> float:
         seq = VerblunskySequence(tuple(seq))
     if all(v == 0 for v in seq.values):
         raise ValueError("probe needs a nonzero sequence")
-    p_r = float(gn_exponent(m, r).p_r)
+    p_r = float(gn_exponent(m, r))
     diffs = difference_array(seq, r, N)
     num = lp_norm(diffs, p_r)
     L = m  # max difference order; the probe has no shifts
@@ -232,7 +205,7 @@ def scaling_relation_residual(m: int, r: int) -> Fraction:
 
     r - 1/p_r = (r/m)(m - 1/2) - (1 - r/m)/(2m+2), checked over Q.
     """
-    p = gn_exponent(m, r).p_r
+    p = gn_exponent(m, r)
     lhs = Fraction(r) - Fraction(1) / p
     rhs = Fraction(r, m) * (Fraction(m) - Fraction(1, 2)) - (
         1 - Fraction(r, m)
@@ -248,5 +221,4 @@ def young_subcriticality(m: int, k: int) -> Fraction:
     if not 2 <= k <= m:
         raise ValueError("need 2 <= k <= m")
     sigma = Fraction(m + 1 - k)
-    value = (sigma / m) / 2 + (2 * k - sigma / m) / (2 * m + 2)
-    return value
+    return (sigma / m) / 2 + (2 * k - sigma / m) / (2 * m + 2)

@@ -22,6 +22,7 @@ from . import __version__
 from . import absorption, measures, psd_quartic, sum_rule
 from .families import FamilySpec
 from .normal_form import NormalFormMonomial
+from .sequences import complex_pairs
 from .suites import run_suites
 
 VERSION_HEADER = f"# opuckit {__version__}"
@@ -84,14 +85,12 @@ def _family_from_args(args) -> FamilySpec:
         if not args.values:
             raise ValueError("explicit family needs --values FILE")
         with open(args.values) as fh:
-            kw["values"] = tuple(complex(re, im) for re, im in json.load(fh))
+            kw["values"] = complex_pairs(json.load(fh), "--values")
     return FamilySpec(kind=args.family, **kw)
 
 
-def _parse_int_list(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(x) for x in text)
-    return tuple(int(x) for x in str(text).split(","))
+def _parse_int_list(text: str) -> tuple:
+    return tuple(int(x) for x in text.split(","))
 
 
 def _emit(text: str, out: str | None):
@@ -219,8 +218,8 @@ def cmd_measure(args) -> int:
             value = measures.szego_functional_series(spec.prefix, args.m, [N])[(args.m, N)]
             grid, method = args.grid, "series"
         else:
-            val = measures.szego_functional(spec, args.m, args.grid)
-            value, grid, method = val.value, val.grid_size, "trapezoid"
+            value = measures.szego_functional(spec, args.m, args.grid)
+            grid, method = len(spec.weights), "trapezoid"
         print(json.dumps({"m": args.m, "value": value, "grid": grid, "method": method}))
         return 0
     if args.action == "weight":
@@ -320,13 +319,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dests(keys: dict) -> dict:
-    return {k.replace("-", "_"): v for k, v in keys.items()}
+    # argparse converts a string default as it converts the command line
+    return {k.replace("-", "_"): v if isinstance(v, str) else str(v) for k, v in keys.items()}
 
 
 def _check_config_keys(parser, keys: dict, flags: set, prefix: str):
-    for key in keys:
+    for key, value in keys.items():
         if key.replace("-", "_") not in flags:
             parser.error(f"argument --config: unknown key {prefix + key!r}")
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            parser.error(f"argument --config: {prefix + key!r} must be a string or a number")
 
 
 def main(argv=None) -> int:

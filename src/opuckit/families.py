@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import VerblunskySequence
+from .sequences import VerblunskySequence, complex_pairs
 
 KINDS = ("power", "rotated", "random", "constant", "explicit")
 
@@ -119,5 +119,5 @@ class FamilySpec:
         if "modulus_cap" in obj:
             kwargs["modulus_cap"] = float(obj["modulus_cap"])
         if "values" in obj:
-            kwargs["values"] = tuple(complex(re, im) for re, im in obj["values"])
+            kwargs["values"] = complex_pairs(obj["values"])
         return cls(kind=kind, **kwargs)

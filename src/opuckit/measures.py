@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._kernels import log_phistar_abs
-from .sequences import VerblunskySequence, zero_extended
+from .sequences import VerblunskySequence, complex_pairs, zero_extended
 
 DEFAULT_GRID = 4096
 
@@ -84,22 +84,19 @@ class MeasureSpec:
     @classmethod
     def from_json(cls, text: str) -> "MeasureSpec":
         obj = json.loads(text)
-        if obj["kind"] == "bernstein_szego":
-            return cls.bernstein_szego([complex(re, im) for re, im in obj["alphas"]])
-        if obj["kind"] == "sampled":
-            w = obj["weights"]
+        if not isinstance(obj, dict):
+            raise ValueError("a measure must be a JSON object")
+        kind = obj.get("kind")
+        if kind == "bernstein_szego":
+            return cls.bernstein_szego(complex_pairs(obj.get("alphas"), "alphas"))
+        if kind == "sampled":
+            w = obj.get("weights")
+            if not isinstance(w, list) or not all(type(x) in (int, float) for x in w):
+                raise ValueError("weights must be a list of numbers")
             if "grid" in obj and obj["grid"] != len(w):
                 raise ValueError("sampled grid field disagrees with weight count")
             return cls.sampled(w)
-        raise ValueError(f"unknown measure kind {obj.get('kind')!r}")
-
-
-@dataclass(frozen=True)
-class SzegoFunctionalValue:
-    m: int
-    value: float
-    grid_size: int
-    convention: str = "K = integral (1-cos theta)^m log(1/w) dtheta/2pi"
+        raise ValueError(f"measure kind must be 'bernstein_szego' or 'sampled', got {kind!r}")
 
 
 def hm_closed_form(m: int, ell: int) -> Fraction:
@@ -258,7 +255,7 @@ def verblunsky_from_moments(moments) -> VerblunskySequence:
 
 def szego_functional(
     measure: MeasureSpec, m: int, grid_size: int = DEFAULT_GRID
-) -> SzegoFunctionalValue:
+) -> float:
     """Trapezoid value of integral (1-cos theta)^m log(1/w) dtheta/2pi.
 
     On a uniform periodic grid the composite trapezoid rule is the plain mean
@@ -270,16 +267,13 @@ def szego_functional(
         raise ValueError("m must be >= 0")
     if measure.kind == "bernstein_szego":
         log_inv_w = -_log_weight(measure.prefix, grid_size)
-        G = grid_size
     else:
         w = np.asarray(measure.weights, dtype=np.float64)
         if np.any(w <= 0.0):
             raise WeightPositivityError("nonpositive weight sample")
         log_inv_w = -np.log(w)
-        G = len(w)
-    weight_factor = (1.0 - np.cos(theta_grid(G))) ** m
-    value = float(np.mean(weight_factor * log_inv_w))
-    return SzegoFunctionalValue(m=m, value=value, grid_size=G)
+    weight_factor = (1.0 - np.cos(theta_grid(len(log_inv_w)))) ** m
+    return float(np.mean(weight_factor * log_inv_w))
 
 
 def szego_functional_series(prefix, m_max: int, checkpoints) -> dict:

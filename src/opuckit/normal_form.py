@@ -51,7 +51,7 @@ def from_ideal_expansion(decomposition: IdealDecomposition) -> list[NormalFormMo
     if not decomposition.member:
         raise MembershipError(
             f"not a member of the ideal power {decomposition.order}; "
-            f"witness moment {decomposition.witness.exponents}"
+            f"witness moment {decomposition.witness}"
         )
     return list(decomposition.terms)
 

@@ -20,6 +20,14 @@ class ModulusError(ValueError):
     """An entry with |alpha| >= 1 was supplied where the open disc is required."""
 
 
+def complex_pairs(obj, name: str = "values") -> tuple:
+    """The entries of the JSON wire format [[re, im], ...]; a boolean is no number."""
+    pairs = isinstance(obj, list) and all(isinstance(p, list) and len(p) == 2 for p in obj)
+    if not pairs or not all(type(x) in (int, float) for p in obj for x in p):
+        raise ValueError(f"{name} must be a list of [re, im] number pairs")
+    return tuple(complex(re, im) for re, im in obj)
+
+
 def entry(seq, n: int):
     """Index into a sequence-like object with the zero extension convention.
 
@@ -73,7 +81,7 @@ class VerblunskySequence:
 
     @classmethod
     def from_json(cls, text: str) -> "VerblunskySequence":
-        return cls(tuple(complex(re, im) for re, im in json.loads(text)))
+        return cls(complex_pairs(json.loads(text)))
 
 
 @dataclass(frozen=True)

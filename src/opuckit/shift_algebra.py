@@ -37,23 +37,6 @@ from .rationals import GR_ZERO, GaussianRational
 from .sequences import VerblunskySequence, entry
 
 
-@dataclass(frozen=True)
-class MomentQuery:
-    """Multi-exponent (a_1..a_k, b_1..b_k) of an Euler moment."""
-
-    exponents: tuple
-
-    def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
-        if any(e < 0 for e in exps):
-            raise ValueError("moment exponents must be nonnegative")
-        object.__setattr__(self, "exponents", exps)
-
-    @property
-    def total_order(self) -> int:
-        return sum(self.exponents)
-
-
 class ShiftPolynomial:
     """Sparse Laurent polynomial over Gaussian rationals in 2k shift variables."""
 
@@ -221,17 +204,17 @@ def diag_eval(P: ShiftPolynomial) -> GaussianRational:
     return total
 
 
-def euler_moment(P: ShiftPolynomial, query) -> GaussianRational:
+def euler_moment(P: ShiftPolynomial, exps: tuple) -> GaussianRational:
     """Weighted coefficient sum sum_c c * prod i^a * prod j^b, with 0^0 = 1.
 
-    Equals the Euler derivative jet of P at the diagonal for that exponent.
+    Equals the Euler derivative jet of P at the diagonal for the exponents
+    (a_1..a_k, b_1..b_k).
     """
-    if isinstance(query, MomentQuery):
-        exps = query.exponents
-    else:
-        exps = tuple(int(e) for e in query)
+    exps = tuple(int(e) for e in exps)
     if len(exps) != 2 * P.k:
         raise ValueError("moment query length does not match 2k")
+    if any(e < 0 for e in exps):
+        raise ValueError("moment exponents must be nonnegative")
     total = GR_ZERO
     for e, c in P.terms.items():
         weight = 1
@@ -274,14 +257,14 @@ class IdealDecomposition:
     """Outcome of an ideal-power membership test with constructive expansion.
 
     Non-membership is a legitimate answer, not an exception; it carries the
-    lowest-order nonvanishing moment query as a witness.
+    exponents of the lowest-order nonvanishing Euler moment as a witness.
     """
 
     k: int
     order: int
     member: bool
     terms: tuple = ()  # tuple of NormalFormMonomial
-    witness: MomentQuery | None = None
+    witness: tuple | None = None
 
     def recompose(self) -> ShiftPolynomial:
         if not self.member:
@@ -380,13 +363,12 @@ def ideal_power_decompose(P: ShiftPolynomial, q: int) -> IdealDecomposition:
     split(tuple([0] * nslots), cleared, 0)
 
     if jets:
+        # at the lowest jet order t the Euler moment at e equals e! times the
+        # Taylor coefficient at e, which the clearing unit leaves unchanged,
+        # so the least such jet is the first nonzero moment of order t
         t = min(sum(gen) for gen in jets)
-        for exps in _compositions(t, nslots):
-            if not euler_moment(P, exps).is_zero():
-                return IdealDecomposition(
-                    k=k, order=q, member=False, witness=MomentQuery(exps)
-                )
-        raise AssertionError("nonzero jet without a nonzero moment at its order")
+        witness = min(gen for gen in jets if sum(gen) == t)
+        return IdealDecomposition(k=k, order=q, member=False, witness=witness)
     return IdealDecomposition(k=k, order=q, member=True, terms=tuple(final))
 
 

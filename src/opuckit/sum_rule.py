@@ -21,53 +21,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .measures import hm_closed_form, szego_functional_series
 from .sequences import VerblunskySequence, lukic_partial_sums, zero_extended
 from .shift_algebra import ShiftPolynomial
-
-
-@dataclass(frozen=True)
-class HmSymbol:
-    """Exact Fourier coefficients h_l of (1 - cos theta)^m, l in [-m, m]."""
-
-    m: int
-    coeffs: dict  # l -> Fraction
-
-    def __post_init__(self):
-        h = self.coeffs
-        if set(h) != set(range(-self.m, self.m + 1)):
-            raise ValueError("coefficient support must be exactly [-m, m]")
-        if any(h[-l] != h[l] for l in range(self.m + 1)):
-            raise ValueError("symbol must be real symmetric")
-        if sum(h.values()) != 0:
-            raise ValueError("symbol must vanish at theta = 0")
-        if h[0] != Fraction(math.comb(2 * self.m, self.m), 2**self.m):
-            raise ValueError("central coefficient is not 2^-m C(2m, m)")
-
-
-def hm_fourier(m: int) -> HmSymbol:
-    """Symbolic expansion of 2^-m (1-P)^m (1-P^{-1})^m.
-
-    Computed by convolving the two binomial factors exactly; the closed form
-    hm_closed_form is checked against this expansion in the test suite.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    # (1-P)^m has coefficient (-1)^j C(m, j) at exponent j
-    plus = {j: Fraction((-1) ** j * math.comb(m, j)) for j in range(m + 1)}
-    # (1-P^{-1})^m has coefficient (-1)^j C(m, j) at exponent -j
-    minus = {-j: Fraction((-1) ** j * math.comb(m, j)) for j in range(m + 1)}
-    conv: dict = {}
-    for e1, c1 in plus.items():
-        for e2, c2 in minus.items():
-            conv[e1 + e2] = conv.get(e1 + e2, Fraction(0)) + c1 * c2
-    scale = Fraction(1, 2**m)
-    coeffs = {l: scale * conv.get(l, Fraction(0)) for l in range(-m, m + 1)}
-    return HmSymbol(m=m, coeffs=coeffs)
 
 
 def hm_shift_symbol(m: int) -> ShiftPolynomial:
@@ -81,13 +40,12 @@ def hm_shift_symbol(m: int) -> ShiftPolynomial:
 
 
 def _quadratic_form_complex(seq, m: int, N: int) -> complex:
-    sym = hm_fourier(m)
     arr = zero_extended(seq, -m, N + m + 1)
     center = arr[m : m + N + 1]
     total = 0j
     for ell in range(-m, m + 1):
         seg = arr[m + ell : m + ell + N + 1]
-        total += float(sym.coeffs[ell]) * complex(np.vdot(center, seg))
+        total += float(hm_closed_form(m, ell)) * complex(np.vdot(center, seg))
     return total
 
 

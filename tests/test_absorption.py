@@ -22,14 +22,14 @@ from helpers import random_float_sequence
 
 class TestExponents:
     def test_endpoint_values(self):
-        assert gn_exponent(3, 0).p_r == 8
-        assert gn_exponent(3, 3).p_r == 2
-        assert gn_exponent(2, 1).p_r == 3
-        assert gn_exponent(5, 2).p_r == 4
+        assert gn_exponent(3, 0) == 8
+        assert gn_exponent(3, 3) == 2
+        assert gn_exponent(2, 1) == 3
+        assert gn_exponent(5, 2) == 4
 
     def test_monotone_decreasing(self):
         for m in range(1, 13):
-            ps = [gn_exponent(m, r).p_r for r in range(m + 1)]
+            ps = [gn_exponent(m, r) for r in range(m + 1)]
             assert ps[0] == 2 * m + 2 and ps[-1] == 2
             assert all(a > b for a, b in zip(ps, ps[1:]))
 
@@ -48,11 +48,11 @@ class TestExponents:
 class TestHolderBudget:
     def test_worked_examples(self):
         b = holder_budget(3, 2, (1, 1, 0, 0))
-        assert b.exponent_sum == Fraction(3, 4)
+        assert b == Fraction(3, 4)
         b = holder_budget(2, 2, (1, 0, 0, 0))
-        assert b.exponent_sum == Fraction(5, 6)
+        assert b == Fraction(5, 6)
         b = holder_budget(4, 4, (1, 0, 0, 0, 0, 0, 0, 0))
-        assert b.exponent_sum == Fraction(9, 10)
+        assert b == Fraction(9, 10)
 
     def test_budget_identity_all_orders(self):
         for m in range(2, 13):
@@ -65,8 +65,8 @@ class TestHolderBudget:
                     rem -= 1
                     i += 1
                 b = holder_budget(m, k, orders)
-                assert b.exponent_sum == Fraction(m + 1 + k, 2 * (m + 1))
-                assert b.subcritical and b.critical_count_met
+                assert b == Fraction(m + 1 + k, 2 * (m + 1))
+                assert b < 1 and sum(orders) == m + 1 - k
 
     def test_young_subcriticality(self):
         for m in range(2, 13):

@@ -562,6 +562,37 @@ class TestBadInput:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "flag, content",
+        [
+            ("--values", [0.1, 0.2]),
+            ("--values", [[0.1, "x"]]),
+            ("--values", [[0.1, None]]),
+            ("--values", [[0.1, False]]),
+            ("--measure-json", {"weights": [1, 1]}),
+            ("--measure-json", {"kind": "sampled"}),
+            ("--measure-json", {"kind": "sampled", "weights": [None, 1]}),
+            ("--measure-json", {"kind": "bernstein_szego", "alphas": [0.1]}),
+            ("--measure-json", {"kind": ["sampled"], "weights": [1, 1]}),
+            ("--measure-json", [3]),
+        ],
+        ids=["values-flat", "values-string", "values-null", "values-boolean", "measure-no-kind",
+             "measure-no-weights", "measure-null-weight", "measure-flat-alphas",
+             "measure-list-kind", "measure-not-an-object"],
+    )
+    def test_malformed_file_exits_2_with_one_error_line(self, flag, content, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        if flag == "--values":
+            argv = ["generate", "--family", "explicit", "--n", "0", "--values", str(path)]
+        else:
+            argv = ["measure", "functional", "--measure-json", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
 
 # -- argument fuzzing ----------------------------------------------------------
 
@@ -887,6 +918,52 @@ class TestConfigErrors:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert "Traceback" not in err
         assert errors == [f"opuckit: error: argument --config: {message}"]
+
+    @pytest.mark.parametrize(
+        "config, argv, message",
+        [
+            ({"gram": {"m_max": 2.5}}, ["gram", "certify"],
+             "opuckit gram: error: argument --m-max: invalid int value: '2.5'"),
+            ({"measure": {"m": [1]}}, ["measure", "functional", "--family", "constant", "--c",
+                                       "0.5", "--n", "3"],
+             "opuckit: error: argument --config: 'measure.m' must be a string or a number"),
+            ({"seed": 1.5}, ["generate", "--family", "random", "--n", "3"],
+             "opuckit generate: error: argument --seed: invalid int value: '1.5'"),
+            ({"m": True}, ["measure", "functional", "--family", "constant", "--c", "0.5"],
+             "opuckit: error: argument --config: 'm' must be a string or a number"),
+            ({"grid": None}, ["verify", "--suite", "absorb"],
+             "opuckit: error: argument --config: 'grid' must be a string or a number"),
+            ({"grid": {"n": 1}}, ["verify", "--suite", "absorb"],
+             "opuckit: error: argument --config: 'grid' must be a string or a number"),
+        ],
+        ids=["scoped-float-int", "scoped-list", "flat-float-int", "boolean", "null", "object"],
+    )
+    def test_value_the_command_line_cannot_give_exits_2(self, tmp_path, capsys, config, argv,
+                                                         message):
+        # argparse converts only string defaults, so other JSON values
+        # reached the program as they were
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as info:
+            main(["--config", str(cfg), *argv])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert errors == [message]
+
+    def test_number_value_is_given_as_the_command_line_gives_it(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # {"out": 1} wrote to file descriptor 1 and closed it
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": 1}))
+        family = ["--family", "random", "--n", "3"]
+        assert main(["--config", str(cfg), "generate", *family]) == 0
+        from_config = (tmp_path / "1").read_text()
+        assert main(["generate", *family, "--out", "1"]) == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "1").read_text() == from_config
 
     def test_key_of_another_subcommand_is_allowed(self, tmp_path, capsys):
         # --grid and --n-list belong to other subcommands, not to verify

@@ -149,33 +149,33 @@ class TestMoments:
 class TestFunctional:
     def test_lebesgue_zero(self):
         for m in (0, 1, 3):
-            val = szego_functional(MeasureSpec.bernstein_szego([]), m, 256).value
+            val = szego_functional(MeasureSpec.bernstein_szego([]), m, 256)
             assert abs(val) <= 1e-15
 
     def test_classical_szego_value(self):
-        val = szego_functional(MeasureSpec.bernstein_szego([0.5]), 0, 4096).value
+        val = szego_functional(MeasureSpec.bernstein_szego([0.5]), 0, 4096)
         assert val == pytest.approx(-math.log(0.75), abs=1e-8)
         assert val == pytest.approx(0.287682, abs=1e-6)
 
     def test_grid_refinement_consistency(self):
         spec = MeasureSpec.bernstein_szego([0.5])
-        v1 = szego_functional(spec, 1, 2048).value
-        v2 = szego_functional(spec, 1, 4096).value
+        v1 = szego_functional(spec, 1, 2048)
+        v2 = szego_functional(spec, 1, 4096)
         assert abs(v1 - v2) <= 1e-6
 
     def test_grid_invariance_smooth(self):
         prefix = [0.9, -0.5j, 0.3 + 0.4j]
         spec = MeasureSpec.bernstein_szego(prefix)
         for m in (1, 2):
-            v1 = szego_functional(spec, m, 2048).value
-            v2 = szego_functional(spec, m, 4096).value
+            v1 = szego_functional(spec, m, 2048)
+            v2 = szego_functional(spec, m, 4096)
             assert abs(v1 - v2) <= 1e-6
 
     def test_series_oracle(self):
         prefix = VerblunskySequence((0.4, 0.2 - 0.3j, -0.1j, 0.25, 0.6))
         spec = MeasureSpec.bernstein_szego(prefix)
         for m in (0, 1, 2, 3, 4):
-            quad = szego_functional(spec, m, 8192).value
+            quad = szego_functional(spec, m, 8192)
             series = szego_functional_series(prefix, m, [4])[(m, 4)]
             assert quad == pytest.approx(series, abs=1e-10)
 
@@ -185,14 +185,14 @@ class TestFunctional:
         prefix = VerblunskySequence(tuple(0.7 / (n + 1) ** 0.6 for n in range(300)))
         spec = MeasureSpec.bernstein_szego(prefix)
         for m in (1, 2, 3):
-            quad = szego_functional(spec, m, 8192).value
+            quad = szego_functional(spec, m, 8192)
             series = szego_functional_series(prefix, m, [299])[(m, 299)]
             assert quad == pytest.approx(series, abs=1e-8)
 
     def test_sampled_kind(self):
         G = 512
         w = 1.0 + 0.5 * np.cos(theta_grid(G))
-        val = szego_functional(MeasureSpec.sampled(w), 1, G).value
+        val = szego_functional(MeasureSpec.sampled(w), 1, G)
         # oracle: direct mean on the same grid
         direct = float(np.mean((1 - np.cos(theta_grid(G))) * np.log(1 / w)))
         assert val == pytest.approx(direct, abs=1e-15)
@@ -203,7 +203,7 @@ class TestFunctional:
         G = 256
         w = 0.2 + 0.5 * (1 + np.cos(theta_grid(G))) / 2
         for m in (0, 1, 3):
-            assert szego_functional(MeasureSpec.sampled(w), m, G).value >= 0.0
+            assert szego_functional(MeasureSpec.sampled(w), m, G) >= 0.0
 
     def test_sampled_rejects_nonpositive(self):
         with pytest.raises(WeightPositivityError):
@@ -212,7 +212,7 @@ class TestFunctional:
     def test_divergent_prefix_stays_finite(self):
         # the weight itself underflows here; the functional must not
         prefix = VerblunskySequence(tuple([0.9] * 1600))
-        val = szego_functional(MeasureSpec.bernstein_szego(prefix), 1, 256).value
+        val = szego_functional(MeasureSpec.bernstein_szego(prefix), 1, 256)
         assert math.isfinite(val) and val > 100
 
     def test_series_order_bound_is_the_float_range_of_h(self):

@@ -12,11 +12,9 @@ from opuckit.measures import MeasureSpec, szego_functional, szego_functional_ser
 from opuckit.sequences import VerblunskySequence, lukic_partial_sums
 from opuckit.sum_rule import (
     DecompositionReport,
-    HmSymbol,
     decomposition_report,
     decomposition_sweep,
     hm_closed_form,
-    hm_fourier,
     hm_shift_symbol,
     log_tail,
     log_tails,
@@ -25,7 +23,7 @@ from opuckit.sum_rule import (
 )
 from opuckit.shift_algebra import ShiftPolynomial
 
-from helpers import random_float_sequence
+from helpers import hm_ring_coeffs, random_float_sequence
 
 FIXED = settings.get_profile("fixed")
 
@@ -39,41 +37,37 @@ def fourier_oracle(m, ell, grid=4096):
 
 class TestHmSymbol:
     def test_m1_values(self):
-        sym = hm_fourier(1)
-        assert sym.coeffs[0] == 1
-        assert sym.coeffs[1] == Fraction(-1, 2)
-        assert sym.coeffs[-1] == Fraction(-1, 2)
+        coeffs = hm_ring_coeffs(1)
+        assert coeffs[0] == 1
+        assert coeffs[1] == Fraction(-1, 2)
+        assert coeffs[-1] == Fraction(-1, 2)
 
     def test_m2_against_quadrature_oracle(self):
-        sym = hm_fourier(2)
+        coeffs = hm_ring_coeffs(2)
         expected = {0: Fraction(3, 2), 1: Fraction(-1), 2: Fraction(1, 4)}
         for ell, frac in expected.items():
             oracle = fourier_oracle(2, ell)
             assert abs(oracle - float(frac)) <= 1e-12
-            assert sym.coeffs[ell] == frac
-            assert sym.coeffs[-ell] == frac
+            assert coeffs[ell] == frac
+            assert coeffs[-ell] == frac
 
     def test_central_value_formula(self):
         # h_{m,0} = 2^-m C(2m, m); at m = 2 this is 3/2
-        assert hm_fourier(2).coeffs[0] == Fraction(3, 2)
+        assert hm_ring_coeffs(2)[0] == Fraction(3, 2)
         for m in range(1, 13):
-            assert hm_fourier(m).coeffs[0] == Fraction(math.comb(2 * m, m), 2**m)
+            assert hm_ring_coeffs(m)[0] == Fraction(math.comb(2 * m, m), 2**m)
 
     def test_closed_form_matches_expansion(self):
         for m in range(1, 13):
-            sym = hm_fourier(m)
+            coeffs = hm_ring_coeffs(m)
             for ell in range(-m, m + 1):
-                assert sym.coeffs[ell] == hm_closed_form(m, ell)
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            HmSymbol(1, {-1: Fraction(-1, 2), 0: Fraction(2), 1: Fraction(-1, 2)})
+                assert coeffs[ell] == hm_closed_form(m, ell)
 
     def test_shift_symbol_forms_agree(self):
         # P^m H_m(P) = 2^-m (-1)^m (P-1)^{2m}: the cleared form is the
         # Laurent one multiplied through by the unit x^m
         for m in (1, 2, 3):
-            laurent = ShiftPolynomial(1, {(l, 0): c for l, c in hm_fourier(m).coeffs.items()})
+            laurent = ShiftPolynomial(1, {(l, 0): c for l, c in hm_ring_coeffs(m).items()})
             unit = ShiftPolynomial.monomial(1, (m, 0), 1)
             assert unit * laurent == hm_shift_symbol(m)
 
@@ -244,7 +238,7 @@ class TestDecompositionReport:
         assert rep.tail == pytest.approx(math.log(4 / 3) - 0.25, abs=1e-12)
         assert rep.tail == pytest.approx(0.0376821, abs=1e-7)
         # K from the quadrature oracle; residual is whatever remains
-        oracle = szego_functional(MeasureSpec.bernstein_szego([0.5]), 1, 4096).value
+        oracle = szego_functional(MeasureSpec.bernstein_szego([0.5]), 1, 4096)
         assert rep.K_proxy == pytest.approx(oracle, abs=1e-14)
         assert rep.residual == pytest.approx(oracle - 0.125 - rep.tail, abs=1e-14)
 
@@ -268,7 +262,7 @@ class TestDecompositionReport:
     def test_quadrature_method_agrees_with_the_series(self):
         seq = VerblunskySequence(tuple(0.4 / (n + 1) ** 0.7 for n in range(80)))
         rep = decomposition_report(seq, 2, 79)
-        quad = szego_functional(MeasureSpec.bernstein_szego(seq), 2, 8192).value
+        quad = szego_functional(MeasureSpec.bernstein_szego(seq), 2, 8192)
         assert quad == pytest.approx(rep.K_proxy, abs=1e-9)
         assert quad - rep.Q - rep.tail == pytest.approx(rep.residual, abs=1e-9)
 
@@ -307,7 +301,7 @@ class TestDecompositionSweep:
             Q = energy.diff_energy / 2.0**r.m
             assert r == DecompositionReport(r.m, r.N, K, Q, tail, energy.power_energy, K - Q - tail)
             # the trapezoid rule at 512 nodes misses these rows by up to 3.0e-4
-            quad = szego_functional(MeasureSpec.bernstein_szego(trunc), r.m, 512).value
+            quad = szego_functional(MeasureSpec.bernstein_szego(trunc), r.m, 512)
             assert quad == pytest.approx(K, abs=1e-3)
 
     def test_series_and_quadrature_agree_where_resolved(self):
@@ -316,7 +310,7 @@ class TestDecompositionSweep:
         assert [(r.m, r.N) for r in rows] == [(m, N) for m in (1, 2, 3) for N in (50, 200)]
         for r in rows:
             measure = MeasureSpec.bernstein_szego(seq.truncated(r.N + 1))
-            quad = szego_functional(measure, r.m, 4096).value
+            quad = szego_functional(measure, r.m, 4096)
             assert r.K_proxy == pytest.approx(quad, abs=1e-10)
 
     def test_rows_past_the_sequence_zero_extend(self):
@@ -326,7 +320,7 @@ class TestDecompositionSweep:
         assert past.power_energy == short.power_energy
         # the grid oracle reads the zero-extended truncation the same way
         quad_short, quad_past = (
-            szego_functional(MeasureSpec.bernstein_szego(seq.as_array(0, N + 1)), 2, 256).value
+            szego_functional(MeasureSpec.bernstein_szego(seq.as_array(0, N + 1)), 2, 256)
             for N in (2, 9)
         )
         assert quad_past == quad_short == pytest.approx(short.K_proxy, abs=1e-12)
