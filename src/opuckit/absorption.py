@@ -67,7 +67,8 @@ def gn_ratio_probe(seq, m: int, r: int, N: int) -> float:
         raise ValueError("need 0 < r < m")
     if not isinstance(seq, VerblunskySequence):
         seq = VerblunskySequence(tuple(seq))
-    if all(v == 0 for v in seq.values):
+    # the probe reads a_0..a_{N+2m}; entries past them do not count
+    if all(v == 0 for v in seq.values[: N + 2 * m + 1]):
         raise ValueError("probe needs a nonzero sequence")
     p_r = float(gn_exponent(m, r))
     diffs = difference_array(seq, r, N)
@@ -124,7 +125,6 @@ class AbsorptionProbe:
     rhs: float
     passed: bool
     constant: float
-    epsilon: float
     N: int
 
 
@@ -151,9 +151,7 @@ def _fitted_constant(terms: dict, epsilon: float) -> float:
 def _probe(terms: dict, N: int, epsilon: float, constant: float) -> AbsorptionProbe:
     lhs, energy = terms[N]
     rhs = epsilon * energy + constant
-    return AbsorptionProbe(
-        lhs=lhs, rhs=rhs, passed=lhs <= rhs, constant=constant, epsilon=epsilon, N=N
-    )
+    return AbsorptionProbe(lhs=lhs, rhs=rhs, passed=lhs <= rhs, constant=constant, N=N)
 
 
 def fit_absorption_constant(

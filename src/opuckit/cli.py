@@ -175,15 +175,19 @@ def cmd_absorb(args) -> int:
         raise ValueError(f"--epsilon must be finite and > 0, got {args.epsilon}")
     lines = [VERSION_HEADER, "family,m,param,N,ratio,lhs,rhs,passed"]
     label = family.label().replace(",", ";")
+    if (args.r is None) == (args.k is None):
+        raise ValueError(
+            "absorb probe needs exactly one of --r (GN ratio) and --k (monomial probe)"
+        )
     # one sequence for every N, generated as long as the largest N reads;
     # each row probes a prefix of it
     if args.r is not None:
         r = int(args.r)
         full = family.generate(max(n_list) + 2 * m)
         for N in n_list:
-            ratio = absorption.gn_ratio_probe(full.truncated(N + 2 * m + 1), m, r, N)
+            ratio = absorption.gn_ratio_probe(full, m, r, N)
             lines.append(f"{label},{m},r={r},{N},{ratio!r},,,")
-    elif args.k is not None:
+    else:
         k = int(args.k)
         orders = absorption.critical_orders(m, k)
         mono = NormalFormMonomial(
@@ -197,8 +201,6 @@ def cmd_absorb(args) -> int:
             lines.append(
                 f"{label},{m},k={k},{probe.N},,{probe.lhs!r},{probe.rhs!r},{probe.passed}"
             )
-    else:
-        raise ValueError("absorb probe needs --r (GN ratio) or --k (monomial probe)")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -65,8 +65,15 @@ class MeasureSpec:
     @classmethod
     def sampled(cls, weights) -> "MeasureSpec":
         w = tuple(float(x) for x in weights)
+        if not w:
+            raise ValueError("sampled weights must not be empty")
         if any(not (x > 0.0) for x in w):
             raise WeightPositivityError("sampled weights must be strictly positive")
+        if not all(map(math.isfinite, w)):
+            raise ValueError("sampled weights must be finite")
+        # a finite sum bounds every FFT output of trig_moments
+        if not math.isfinite(sum(w)):
+            raise ValueError("sampled weights must have a finite sum")
         return cls(kind="sampled", weights=w)
 
     def to_json(self) -> str:

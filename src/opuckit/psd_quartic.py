@@ -53,7 +53,6 @@ class GramBlock:
 
     m: int
     entries: tuple  # tuple of tuples of Fraction
-    order: str = "grlex"
 
     def __post_init__(self):
         n = len(self.entries)
@@ -77,7 +76,8 @@ class GramBlock:
         return json.dumps(
             {
                 "m": self.m,
-                "order": self.order,
+                # the row order multi_indices fixes
+                "order": "grlex",
                 "entries": [[str(c) for c in row] for row in self.entries],
             }
         )
@@ -90,7 +90,7 @@ class GramBlock:
         entries = tuple(
             tuple(Fraction(c) for c in row) for row in obj["entries"]
         )
-        return cls(m=obj["m"], entries=entries, order=obj["order"])
+        return cls(m=obj["m"], entries=entries)
 
 
 def gram_closed_form(m: int) -> GramBlock:
@@ -361,7 +361,6 @@ class RawQuarticExhibit:
     entries: tuple
     is_symmetric: bool
     asymmetry: tuple  # (entry (0,1), entry (1,0))
-    symmetrized_eigenvalues: tuple  # informational float eigensolve
 
 
 def raw_m2_failure_exhibit() -> RawQuarticExhibit:
@@ -369,23 +368,14 @@ def raw_m2_failure_exhibit() -> RawQuarticExhibit:
 
     The matrix is asymmetric (5/12 vs 1/2), which is the documented
     obstruction: the raw bihomogeneous component admits no symmetric
-    representative under the linearized quotient constraint.  The eigenvalue
-    report of the symmetrized matrix is informational only.
+    representative under the linearized quotient constraint.
     """
     entries = (
         (Fraction(5, 6), Fraction(5, 12)),
         (Fraction(1, 2), Fraction(1, 12)),
     )
-    sym = np.array(
-        [
-            [float(entries[0][0]), float((entries[0][1] + entries[1][0]) / 2)],
-            [float((entries[0][1] + entries[1][0]) / 2), float(entries[1][1])],
-        ]
-    )
-    eigs = tuple(float(x) for x in np.linalg.eigvalsh(sym))
     return RawQuarticExhibit(
         entries=entries,
         is_symmetric=entries[0][1] == entries[1][0],
         asymmetry=(entries[0][1], entries[1][0]),
-        symmetrized_eigenvalues=eigs,
     )

@@ -48,13 +48,6 @@ class GaussianRational:
             return cls(x[0], x[1])
         raise TypeError(f"cannot coerce {x!r} to GaussianRational")
 
-    @classmethod
-    def from_json(cls, obj) -> "GaussianRational":
-        return cls(Fraction(obj["re"]), Fraction(obj["im"]))
-
-    def to_json(self) -> dict:
-        return {"re": str(self.re), "im": str(self.im)}
-
     # -- arithmetic ----------------------------------------------------
 
     @staticmethod

@@ -35,10 +35,9 @@ def entry(seq, n: int):
     array); entries may be complex floats or exact scalars.  Out-of-range
     and negative indices give 0.
     """
-    if isinstance(seq, VerblunskySequence):
-        return seq.at(n)
-    if 0 <= n < len(seq):
-        return seq[n]
+    values = seq.values if isinstance(seq, VerblunskySequence) else seq
+    if 0 <= n < len(values):
+        return values[n]
     return 0
 
 
@@ -59,21 +58,6 @@ class VerblunskySequence:
     def __len__(self) -> int:
         return len(self.values)
 
-    def at(self, n: int) -> complex:
-        """Entry at index n, 0 outside the stored prefix."""
-        if 0 <= n < len(self.values):
-            return self.values[n]
-        return 0j
-
-    def truncated(self, length: int) -> "VerblunskySequence":
-        return VerblunskySequence(self.values[:length])
-
-    def as_array(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Zero-extended complex array of entries start..stop-1."""
-        if stop is None:
-            stop = len(self.values)
-        return zero_extended(self, start, stop)
-
     # JSON wire format: array of [re, im] pairs.
 
     def to_json(self) -> str:
@@ -88,8 +72,6 @@ class VerblunskySequence:
 class EnergyReport:
     """Partial sums of the two coercive quantities up to index N."""
 
-    m: int
-    N: int
     diff_energy: float
     power_energy: float
 
@@ -148,7 +130,7 @@ def lukic_partial_sums(seq, m: int, N: int) -> EnergyReport:
     diff_energy = float(np.sum(np.abs(diffs) ** 2))
     arr = zero_extended(seq, 0, N + 1)
     power_energy = float(np.sum(np.abs(arr) ** (2 * m + 2)))
-    return EnergyReport(m=m, N=N, diff_energy=diff_energy, power_energy=power_energy)
+    return EnergyReport(diff_energy=diff_energy, power_energy=power_energy)
 
 
 def lp_norm(values, p: float, N: int | None = None) -> float:

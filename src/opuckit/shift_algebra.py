@@ -25,7 +25,6 @@ when some mixed derivative of that order is nonzero at the diagonal.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -172,28 +171,6 @@ class ShiftPolynomial:
         for e, c in self.terms.items():
             swapped[e[k:] + e[:k]] = c.conjugate()
         return ShiftPolynomial(k, swapped)
-
-    # -- serialization ------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "k": self.k,
-                "terms": [
-                    {"exp": list(e), "re": str(c.re), "im": str(c.im)}
-                    for e, c in sorted(self.terms.items())
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ShiftPolynomial":
-        obj = json.loads(text)
-        terms = {
-            tuple(t["exp"]): GaussianRational(Fraction(t["re"]), Fraction(t["im"]))
-            for t in obj["terms"]
-        }
-        return cls(obj["k"], terms)
 
 
 def diag_eval(P: ShiftPolynomial) -> GaussianRational:
@@ -431,37 +408,6 @@ class NormalFormMonomial:
         if isinstance(c, GaussianRational):
             c = c.to_complex()
         return NormalFormMonomial(self.k, self.holo_factors, self.anti_factors, complex(c))
-
-    def to_json(self) -> str:
-        c = self.coeff
-        if isinstance(c, GaussianRational):
-            coeff = {"re": str(c.re), "im": str(c.im)}
-        else:
-            c = complex(c)
-            coeff = {"re": c.real, "im": c.imag}
-        return json.dumps(
-            {
-                "k": self.k,
-                "holo_factors": [list(f) for f in self.holo_factors],
-                "anti_factors": [list(f) for f in self.anti_factors],
-                "coeff": coeff,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "NormalFormMonomial":
-        obj = json.loads(text)
-        raw = obj["coeff"]
-        if isinstance(raw["re"], str):
-            coeff = GaussianRational(Fraction(raw["re"]), Fraction(raw["im"]))
-        else:
-            coeff = complex(raw["re"], raw["im"])
-        return cls(
-            obj["k"],
-            tuple(tuple(f) for f in obj["holo_factors"]),
-            tuple(tuple(f) for f in obj["anti_factors"]),
-            coeff,
-        )
 
 
 def _polynomial_terms(P: ShiftPolynomial) -> list:

@@ -160,7 +160,7 @@ def decomposition_sweep(seq, m_list, n_list) -> list[DecompositionReport]:
     n_max = n_list[-1]
     values = seq.values[: n_max + 1]
     K = szego_functional_series(seq, m_list[-1], n_list)
-    padded = seq.as_array(0, n_max + 1)
+    padded = zero_extended(seq, 0, n_max + 1)
     rows = []
     for m in m_list:
         tails = np.cumsum(log_tails(padded, m))

@@ -112,6 +112,10 @@ class TestGnRatioProbe:
             gn_ratio_probe(seq, 2, 0, 1)
         with pytest.raises(ValueError):
             gn_ratio_probe(VerblunskySequence((0j, 0j)), 2, 1, 1)
+        # the check reads the entries the probe reads, a_0..a_{N+2m}, alone
+        with pytest.raises(ValueError, match="nonzero"):
+            gn_ratio_probe(VerblunskySequence((0,) * 6 + (0.5,)), 2, 1, 1)
+        assert gn_ratio_probe(VerblunskySequence((0,) * 5 + (0.5,)), 2, 1, 1) >= 0
 
 
 def one_difference_quartic():

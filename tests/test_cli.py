@@ -496,7 +496,8 @@ class TestSweepsFollowOneSequence:
         assert [int(row[3]) for row in rows] == [40, 80]
         for row in rows:
             N = int(row[3])
-            assert float(row[4]) == gn_ratio_probe(full.truncated(N + 2 * 3 + 1), 3, 1, N)
+            prefix = VerblunskySequence(full.values[: N + 2 * 3 + 1])
+            assert float(row[4]) == gn_ratio_probe(prefix, 3, 1, N)
 
     def test_absorb_random_monomial_rows_are_prefixes_of_one_sequence(self, tmp_path):
         # oracle: each row from its own monomial_sum and energies, the
@@ -549,11 +550,14 @@ class TestBadInput:
             ["verify", "--suite", "sequences"],
             ["verify", "--suite", "kernels"],
             ["generate", "--family", "random", "--cap", "-0.5", "--n", "2"],
+            ["absorb", "probe", "--family", "power", "--c", "0.5", "--m", "3", "--r", "1",
+             "--k", "2"],
         ],
         ids=["no-family", "generate-no-family", "measure-no-family", "explicit-no-values",
              "absorb-no-probe", "absorb-k-0", "moments-negative-kmax", "absorb-negative-epsilon",
              "absorb-zero-epsilon", "absorb-inf-epsilon", "absorb-k-negative-n",
-             "absorb-r-negative-n", "verify-sequences", "verify-kernels", "random-negative-cap"],
+             "absorb-r-negative-n", "verify-sequences", "verify-kernels", "random-negative-cap",
+             "absorb-r-and-k"],
     )
     def test_exits_2_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2
@@ -575,10 +579,14 @@ class TestBadInput:
             ("--measure-json", {"kind": "bernstein_szego", "alphas": [0.1]}),
             ("--measure-json", {"kind": ["sampled"], "weights": [1, 1]}),
             ("--measure-json", [3]),
+            ("--measure-json", {"kind": "sampled", "weights": []}),
+            ("--measure-json", {"kind": "sampled", "weights": [math.inf, 1, 1, 1]}),
+            ("--measure-json", {"kind": "sampled", "weights": [1e308, 1e308, 1, 1]}),
         ],
         ids=["values-flat", "values-string", "values-null", "values-boolean", "measure-no-kind",
              "measure-no-weights", "measure-null-weight", "measure-flat-alphas",
-             "measure-list-kind", "measure-not-an-object"],
+             "measure-list-kind", "measure-not-an-object", "measure-empty-weights",
+             "measure-infinite-weight", "measure-overflowing-weight-sum"],
     )
     def test_malformed_file_exits_2_with_one_error_line(self, flag, content, tmp_path, capsys):
         path = tmp_path / "input.json"

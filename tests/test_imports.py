@@ -1,7 +1,9 @@
-"""Every module-level import of the package is read by its module.
+"""Every module-level import of the package is read by its module, and
+every public top-level function and class is read by something.
 
-No linter runs on the package, so an import stranded by a refactor would
-otherwise stay.  `__init__` is exempt: its imports are the public names.
+No linter runs on the package, so an import or a definition stranded by a
+refactor would otherwise stay.  `__init__` is exempt: its imports are the
+public names, and they count as no read.
 """
 
 import ast
@@ -9,8 +11,24 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "opuckit"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "opuckit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
+
+# Public definitions that no command, check or benchmark reads, each with the
+# test module that reads it: a library capability or a test oracle.
+TEST_ONLY = {
+    "classify_k_trend": "test_acceptance.py",
+    "szego_recursion_polynomials": "test_measures.py",
+    "verblunsky_from_moments": "test_measures.py",
+    "leibniz_expand": "test_normal_form.py",
+    "summation_by_parts": "test_normal_form.py",
+    "telescope_sum": "test_normal_form.py",
+    "gram_quadrature": "test_psd_quartic.py",
+    "forward_difference": "test_sequences.py",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,3 +51,74 @@ def test_every_import_is_used(path):
 def test_detects_an_unused_import():
     source = "import json\nfrom fractions import Fraction\nimport numpy as np\nnp.zeros(1)\n"
     assert unused_imports(source) == ["json", "Fraction"]
+
+
+def _read_names(node) -> set:
+    """Names, attributes and from-imports read anywhere under node."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def unread_definitions(package: dict, readers: dict, strings: str = "") -> list[str]:
+    """Public top-level definitions of `package` that nothing reads.
+
+    package and readers map a file label to its source; a package module
+    reads too, but a definition's reads of its own name do not count.  Each
+    dotted part of a string constant in `strings` counts as a read.  Only
+    top-level functions and classes are checked, not methods: a method name
+    such as `to_json` recurs across classes, so one read would clear them all.
+    """
+    read = {}
+    for label, source in {**package, **readers}.items():
+        for stmt in ast.parse(source).body:
+            own = stmt.name if isinstance(stmt, DEFINITIONS) else None
+            for name in _read_names(stmt):
+                read.setdefault(name, set()).add((label, own))
+    named = {
+        part
+        for node in ast.walk(ast.parse(strings))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for part in node.value.split(".")
+    }
+    unread = []
+    for label, source in package.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, DEFINITIONS) and not stmt.name.startswith("_"):
+                if not read.get(stmt.name, set()) - {(label, stmt.name)} and stmt.name not in named:
+                    unread.append(stmt.name)
+    return unread
+
+
+def test_every_public_definition_is_read():
+    unread = unread_definitions(
+        {p.name: p.read_text() for p in MODULES},
+        {p.name: p.read_text() for p in BENCH},
+        (ROOT / "perfbench" / "tracing.py").read_text(),
+    )
+    # fails as well when a listed name is gone or has gained a reader
+    assert sorted(unread) == sorted(TEST_ONLY)
+
+
+@pytest.mark.parametrize("name, test", sorted(TEST_ONLY.items()))
+def test_test_only_names_are_read_by_their_test(name, test):
+    assert name in _read_names(ast.parse((ROOT / "tests" / test).read_text()))
+
+
+def test_detects_an_unread_definition():
+    package = {
+        "a.py": "def used():\n    return 1\n\n\ndef planted():\n    return planted()\n"
+        "\n\nclass _Private:\n    pass\n",
+        "b.py": "from .a import used\n",
+    }
+    traced = 'SPANS = (("a.traced", "opuckit.a", "Traced.method"),)\n'
+    assert unread_definitions(package, {}) == ["planted"]
+    package["a.py"] += "\n\nclass Traced:\n    pass\n"
+    assert unread_definitions(package, {}) == ["planted", "Traced"]
+    assert unread_definitions(package, {"run.py": "planted\n"}, traced) == []

@@ -209,6 +209,15 @@ class TestFunctional:
         with pytest.raises(WeightPositivityError):
             MeasureSpec.sampled([1.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "weights, fault",
+        [([], "not be empty"), ([math.inf, 1, 1, 1], "be finite"),
+         ([1e308, 1e308, 1, 1], "finite sum")],
+    )
+    def test_sampled_rejects_what_is_not_a_measure(self, weights, fault):
+        with pytest.raises(ValueError, match=fault):
+            MeasureSpec.sampled(weights)
+
     def test_divergent_prefix_stays_finite(self):
         # the weight itself underflows here; the functional must not
         prefix = VerblunskySequence(tuple([0.9] * 1600))

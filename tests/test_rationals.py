@@ -31,11 +31,6 @@ def test_coercion_and_int_mixing():
         GaussianRational.coerce(0.5)  # floats never enter the exact layer
 
 
-def test_json_round_trip():
-    a = GaussianRational(Fraction(-5, 9), Fraction(11, 13))
-    assert GaussianRational.from_json(a.to_json()) == a
-
-
 def test_zero_division():
     with pytest.raises(ZeroDivisionError):
         GaussianRational(1) / GaussianRational(0)

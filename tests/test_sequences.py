@@ -9,9 +9,11 @@ from opuckit.sequences import (
     ModulusError,
     VerblunskySequence,
     difference_array,
+    entry,
     forward_difference,
     lp_norm,
     lukic_partial_sums,
+    zero_extended,
 )
 
 
@@ -53,9 +55,9 @@ class TestConstruction:
 
     def test_zero_extension(self):
         seq = VerblunskySequence((0.1, 0.2))
-        assert seq.at(-1) == 0
-        assert seq.at(2) == 0
-        assert seq.at(1) == 0.2
+        assert entry(seq, -1) == 0
+        assert entry(seq, 2) == 0
+        assert entry(seq, 1) == 0.2
 
     def test_json_round_trip(self):
         seq = VerblunskySequence((0.1 + 0.3j, -0.5j))
@@ -65,7 +67,7 @@ class TestConstruction:
 
     def test_as_array_padding(self):
         seq = VerblunskySequence((0.1, 0.2))
-        arr = seq.as_array(-2, 4)
+        arr = zero_extended(seq, -2, 4)
         assert arr.tolist() == [0, 0, 0.1, 0.2, 0, 0]
 
 

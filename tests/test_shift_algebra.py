@@ -27,7 +27,7 @@ from opuckit.suites import (
 )
 from opuckit.sum_rule import hm_shift_symbol
 
-from helpers import hm_ring_coeffs, random_float_sequence
+from helpers import hm_ring_coeffs, monomial_json, random_float_sequence
 
 FIXED = settings.get_profile("fixed")
 
@@ -121,22 +121,6 @@ class TestRing:
         P = x(1, 1) - one(1)
         assert P**0 == one(1)
         assert P**3 == P * P * P
-
-    def test_json_round_trip(self):
-        P = ShiftPolynomial(
-            2,
-            {
-                (1, -2, 0, 3): GaussianRational(Fraction(1, 3), Fraction(-2, 7)),
-                (0, 0, 0, 0): GaussianRational(-1),
-            },
-        )
-        again = ShiftPolynomial.from_json(P.to_json())
-        assert again == P
-        import json
-
-        term = json.loads(P.to_json())["terms"][0]
-        assert set(term) == {"exp", "re", "im"}
-        assert isinstance(term["re"], str)
 
 
 class TestDiagEval:
@@ -466,8 +450,8 @@ class TestIdealDecomposeProperties:
         want = oracle_ideal_power_decompose(P, q)
         assert got == want
         if want.member:
-            got_json = [m.to_json() for m in from_ideal_expansion(got)]
-            assert got_json == [m.to_json() for m in from_ideal_expansion(want)]
+            got_json = [monomial_json(m) for m in from_ideal_expansion(got)]
+            assert got_json == [monomial_json(m) for m in from_ideal_expansion(want)]
 
     @settings(FIXED, max_examples=60)
     @given(inputs=decomposition_inputs(member=False))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from opuckit.families import FamilySpec
 from opuckit.measures import MeasureSpec, szego_functional, szego_functional_series, theta_grid
-from opuckit.sequences import VerblunskySequence, lukic_partial_sums
+from opuckit.sequences import VerblunskySequence, lukic_partial_sums, zero_extended
 from opuckit.sum_rule import (
     DecompositionReport,
     decomposition_report,
@@ -294,10 +294,10 @@ class TestDecompositionSweep:
         rows = decomposition_sweep(seq, [3, 1], [90, 7, 40])
         assert [(r.m, r.N) for r in rows] == [(1, 7), (1, 40), (1, 90), (3, 7), (3, 40), (3, 90)]
         for r in rows:
-            trunc = seq.truncated(r.N + 1)
+            trunc = VerblunskySequence(seq.values[: r.N + 1])
             K = szego_functional_series(trunc, r.m, [r.N])[(r.m, r.N)]
             energy = lukic_partial_sums(trunc, r.m, r.N)
-            tail = sum(log_tail_loop(trunc.at(n), r.m) for n in range(r.N + 1))
+            tail = sum(log_tail_loop(trunc.values[n], r.m) for n in range(r.N + 1))
             Q = energy.diff_energy / 2.0**r.m
             assert r == DecompositionReport(r.m, r.N, K, Q, tail, energy.power_energy, K - Q - tail)
             # the trapezoid rule at 512 nodes misses these rows by up to 3.0e-4
@@ -309,7 +309,7 @@ class TestDecompositionSweep:
         rows = decomposition_sweep(seq, [1, 2, 3], [50, 200])
         assert [(r.m, r.N) for r in rows] == [(m, N) for m in (1, 2, 3) for N in (50, 200)]
         for r in rows:
-            measure = MeasureSpec.bernstein_szego(seq.truncated(r.N + 1))
+            measure = MeasureSpec.bernstein_szego(VerblunskySequence(seq.values[: r.N + 1]))
             quad = szego_functional(measure, r.m, 4096)
             assert r.K_proxy == pytest.approx(quad, abs=1e-10)
 
@@ -320,7 +320,7 @@ class TestDecompositionSweep:
         assert past.power_energy == short.power_energy
         # the grid oracle reads the zero-extended truncation the same way
         quad_short, quad_past = (
-            szego_functional(MeasureSpec.bernstein_szego(seq.as_array(0, N + 1)), 2, 256)
+            szego_functional(MeasureSpec.bernstein_szego(zero_extended(seq, 0, N + 1)), 2, 256)
             for N in (2, 9)
         )
         assert quad_past == quad_short == pytest.approx(short.K_proxy, abs=1e-12)
