@@ -51,7 +51,7 @@ from .psd_quartic import (
     PsdCertificate,
     gram_closed_form,
     gram_identity_check,
-    gram_quadrature,
+    gram_sos_check,
     multi_indices,
     pm_polynomial,
     psd_certificate,

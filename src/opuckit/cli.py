@@ -28,10 +28,10 @@ from .suites import run_suites
 VERSION_HEADER = f"# opuckit {__version__}"
 
 # The largest order each gram action accepts; a larger one exits 2 at once.
-# On a 2-core Xeon, `certify --m-max 20` takes 140 s and exact LDL^T time
-# grows about 4x every two orders; `identity --m-max 48` takes 119 s and
-# `export --m 48` 8 s with 107 MB of JSON, and both grow polynomially.
-GRAM_MAX_ORDER = {"certify": 20, "identity": 48, "export": 48}
+# On a 2-core Xeon, `certify --m-max 28` takes 37 s (`--m-max 20` 4.4 s) and
+# grows about as m^6; `identity --m-max 48` takes 119 s and `export --m 48`
+# 8 s with 107 MB of JSON, and both grow polynomially.
+GRAM_MAX_ORDER = {"certify": 28, "identity": 48, "export": 48}
 
 
 def classify_k_trend(values) -> str:
@@ -146,10 +146,10 @@ def cmd_gram(args) -> int:
     if args.action == "certify":
         ok = True
         for m in range(1, args.m_max + 1):
-            cert = psd_quartic.psd_certificate(psd_quartic.gram_closed_form(m))
-            status = "certified" if cert.certified else f"FAILED ({cert.failure})"
-            print(f"m={m:2d} dim={len(cert.pivots):3d} {status}")
-            ok = ok and cert.certified
+            failure = psd_quartic.gram_sos_check(m, psd_quartic.gram_closed_form(m))
+            status = "certified" if failure is None else f"FAILED ({failure})"
+            print(f"m={m:2d} dim={math.comb(m + 1, 2):3d} {status}")
+            ok = ok and failure is None
         return 0 if ok else 1
     if args.action == "identity":
         ok = True

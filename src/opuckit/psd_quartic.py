@@ -9,10 +9,10 @@ whose numerator is exactly divisible by the denominator (the division is
 performed symbolically and doubles as the divisibility proof), together
 with its Gram representation P_m = W^T M W over the degree-(m-1) monomials
 in three variables.  P_m is a dict of exact coefficients, which the Gram
-identity check compares coefficientwise in integers.  High powers like
-(u+v-t)^{2m} shred float accuracy, so every flagship check here is exact
-rational; floats appear only in the Gauss-Legendre oracle that integrates
-the equivalent double-integral form.
+identity check compares coefficientwise in integers.  M is PSD because it
+is a sum of squares, M = pref B^T D B with D a positive diagonal, an
+identity `gram_sos_check` proves exactly.  High powers like (u+v-t)^{2m}
+shred float accuracy, so every check here is exact rational.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from operator import mul
 
 MultiIndex3 = tuple  # (a1, a2, a3) with a1 + a2 + a3 = m - 1
 
@@ -141,42 +140,6 @@ def _binomial_double_sum(A: int, B: int, C: int, L: int) -> int:
     return total
 
 
-def gram_quadrature(m: int, nodes: int | None = None) -> np.ndarray:
-    """Gauss-Legendre evaluation of the integral form of the Gram entries.
-
-    Integrates c_alpha c_beta over the unit square, where
-    c_alpha(lam, mu) = multinom(alpha) (-mu)^{a1} (lam-1)^{a2} (lam-mu)^{a3},
-    scaled by m(2m-1)/C(2m,m).  The integrand is polynomial of degree
-    2(m-1) per axis, so nodes >= 2(m-1)+2 integrates it exactly.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if nodes is None:
-        nodes = 2 * m
-    if nodes < 2 * (m - 1) + 2:
-        raise ValueError(f"need at least {2 * (m - 1) + 2} nodes per axis")
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    lam = (x + 1.0) / 2.0
-    wts = w / 2.0
-    L, M = np.meshgrid(lam, lam, indexing="ij")
-    W2 = np.outer(wts, wts)
-    idx = multi_indices(m)
-    grids = []
-    for a in idx:
-        grids.append(
-            multinomial(m - 1, a) * (-M) ** a[0] * (L - 1.0) ** a[1] * (L - M) ** a[2]
-        )
-    pref = m * (2 * m - 1) / math.comb(2 * m, m)
-    dim = len(idx)
-    out = np.zeros((dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            val = pref * float(np.sum(W2 * grids[i] * grids[j]))
-            out[i, j] = val
-            out[j, i] = val
-    return out
-
-
 def pm_polynomial(m: int) -> dict:
     """Exact P_m in the variables (u, v, t) by symbolic division.
 
@@ -260,6 +223,73 @@ def gram_identity_check(m: int) -> bool:
     )
 
 
+def gram_sos_check(m: int, block: GramBlock) -> str | None:
+    """Prove block = pref B^T D B exactly, a sum of C(m+1, 2) squares.
+
+    The Gram matrix is the moment matrix of the polynomials
+    c_alpha(lam, mu) = multinom(alpha) (-mu)^{a1} (lam-1)^{a2} (lam-mu)^{a3}
+    over the unit square, scaled by pref = m(2m-1)/C(2m, m).  Each c_alpha
+    has total degree m-1, so it is sum_{i+j<=m-1} B[ij, alpha] P_i(lam) P_j(mu)
+    in the shifted Legendre polynomials, which are orthogonal on [0, 1]
+    with squared norm 1/(2i+1).  Hence M = pref B^T D B with
+    D = diag(1/((2i+1)(2j+1))), and x^T M x = pref sum D (Bx)^2 >= 0: the
+    exact identity with positive weights proves M PSD.
+
+    B is built in integers from E x^p = sum_i E (2i+1) p!^2 / ((p-i)! (p+i+1)!)
+    P_i(x), E the lcm of the denominators, one factor E per variable, and
+    the weights are g = Q/((2i+1)(2j+1)) with Q their lcm.  Each entry
+    alpha <= beta of the block is compared as
+    sum g B_alpha B_beta m(2m-1) den = num C(2m, m) Q E^4.
+    Returns None when all agree, else the first entry that differs.
+    """
+    idx = multi_indices(m)
+    if block.dim != len(idx):
+        raise ValueError(f"block dimension {block.dim} != C(m+1, 2) = {len(idx)}")
+    n = m - 1
+    f = math.factorial
+    # E x^p = sum_i legendre[p][i] P_i(x)
+    frac = [
+        [Fraction((2 * i + 1) * f(p) ** 2, f(p - i) * f(p + i + 1)) for i in range(p + 1)]
+        for p in range(m)
+    ]
+    E = math.lcm(*(c.denominator for row in frac for c in row))
+    legendre = [[c.numerator * (E // c.denominator) for c in row] for row in frac]
+    squares = [(i, j) for i in range(m) for j in range(m - i)]
+    Q = math.lcm(*((2 * i + 1) * (2 * j + 1) for i, j in squares))
+    weights = [Q // ((2 * i + 1) * (2 * j + 1)) * m * (2 * m - 1) for i, j in squares]
+    columns = []
+    for a1, a2, a3 in idx:
+        # c_alpha = sum power[p][q] lam^p mu^q, p + q <= m-1
+        power = [[0] * (n + 1) for _ in range(n + 1)]
+        w = multinomial(n, (a1, a2, a3))
+        for k in range(a2 + 1):
+            ck = w * math.comb(a2, k)
+            if (a2 - k) % 2:
+                ck = -ck
+            for l in range(a3 + 1):
+                c, q = ck * math.comb(a3, l), a1 + a3 - l
+                power[k + l][q] += -c if q % 2 else c
+        # lam to P_i, then mu to P_j
+        half = [
+            [
+                sum(legendre[p][i] * power[p][q] for p in range(i, n + 1 - q))
+                for q in range(n + 1 - i)
+            ]
+            for i in range(m)
+        ]
+        columns.append(
+            [sum(legendre[q][j] * half[i][q] for q in range(j, n + 1 - i)) for i, j in squares]
+        )
+    scale = math.comb(2 * m, m) * Q * E**4
+    for r, (row, col) in enumerate(zip(block.entries, columns)):
+        weighted = [g * b for g, b in zip(weights, col)]
+        for c in range(r, len(idx)):
+            x = row[c]
+            if sum(map(mul, weighted, columns[c])) * x.denominator != x.numerator * scale:
+                return f"entry ({r},{c}) differs from pref*B^T*D*B"
+    return None
+
+
 @dataclass(frozen=True)
 class PsdCertificate:
     certified: bool
@@ -270,6 +300,9 @@ class PsdCertificate:
 
 def psd_certificate(block) -> PsdCertificate:
     """Exact rational LDL^T with symmetric (diagonal) pivoting.
+
+    A PSD test for any symmetric rational matrix, kept as the oracle that
+    the tests hold `gram_sos_check` to; no command calls it.
 
     At each step the largest remaining diagonal entry is eliminated.  A
     negative pivot refutes PSD.  A zero maximal diagonal forces, for a PSD

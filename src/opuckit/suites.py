@@ -83,8 +83,10 @@ def _gram_checks() -> list[Check]:
 
     def certify(m):
         def run():
-            cert = psd_quartic.psd_certificate(psd_quartic.gram_closed_form(m))
-            return cert.certified, cert.failure or f"{len(cert.pivots)} pivots >= 0"
+            failure = psd_quartic.gram_sos_check(m, psd_quartic.gram_closed_form(m))
+            squares = math.comb(m + 1, 2)
+            proved = f"pref*B^T*D*B = M exactly, {squares} squares, weights > 0"
+            return failure is None, failure or proved
 
         return run
 

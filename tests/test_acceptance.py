@@ -26,7 +26,6 @@ from opuckit.normal_form import pointwise_equality_check
 from opuckit.psd_quartic import (
     gram_closed_form,
     gram_identity_check,
-    gram_quadrature,
     pm_polynomial,
     psd_certificate,
     raw_m2_failure_exhibit,
@@ -43,7 +42,7 @@ from opuckit.sum_rule import (
 )
 from opuckit.shift_algebra import ShiftPolynomial
 
-from helpers import hm_ring_coeffs
+from helpers import gram_quadrature, hm_ring_coeffs
 from test_shift_algebra import laurent_divisible_by_power, random_x_polynomial
 
 

@@ -18,6 +18,8 @@ from opuckit.sequences import ModulusError, VerblunskySequence, lukic_partial_su
 from opuckit.suites import SUITES
 from opuckit.sum_rule import decomposition_report
 
+from helpers import bumped_block
+
 
 def csv_rows(path):
     """Data rows of a CLI CSV, past the version header and the column header."""
@@ -192,6 +194,18 @@ class TestCliCommands:
         assert main(["gram", "certify", "--m-max", "3"]) == 0
         out = capsys.readouterr().out
         assert out.count("certified") == 3
+
+    def test_gram_certify_failure_exits_1(self, monkeypatch, capsys):
+        closed_form = psd_quartic.gram_closed_form
+        monkeypatch.setattr(
+            psd_quartic, "gram_closed_form", lambda m: bumped_block(m) if m == 3 else closed_form(m)
+        )
+        assert main(["gram", "certify", "--m-max", "3"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "m= 1 dim=  1 certified",
+            "m= 2 dim=  3 certified",
+            "m= 3 dim=  6 FAILED (entry (0,1) differs from pref*B^T*D*B)",
+        ]
 
     def test_gram_identity(self, capsys):
         assert main(["gram", "identity", "--m-max", "2"]) == 0
@@ -814,10 +828,6 @@ def test_gram_order_at_its_bound_runs(monkeypatch, action, flag):
         def to_json(self):
             return "{}"
 
-    class Certificate:
-        certified = True
-        pivots = ()
-
     def closed_form(m):
         orders.append(m)
         return Block()
@@ -827,7 +837,7 @@ def test_gram_order_at_its_bound_runs(monkeypatch, action, flag):
         return True
 
     monkeypatch.setattr(psd_quartic, "gram_closed_form", closed_form)
-    monkeypatch.setattr(psd_quartic, "psd_certificate", lambda block: Certificate())
+    monkeypatch.setattr(psd_quartic, "gram_sos_check", lambda m, block: None)
     monkeypatch.setattr(psd_quartic, "gram_identity_check", identity_check)
     bound = GRAM_MAX_ORDER[action]
     code, _, err = run_cli(["gram", action, flag, str(bound)])

@@ -26,7 +26,6 @@ TEST_ONLY = {
     "leibniz_expand": "test_normal_form.py",
     "summation_by_parts": "test_normal_form.py",
     "telescope_sum": "test_normal_form.py",
-    "gram_quadrature": "test_psd_quartic.py",
     "forward_difference": "test_sequences.py",
 }
 

@@ -14,7 +14,7 @@ from opuckit.psd_quartic import (
     PsdCertificate,
     gram_closed_form,
     gram_identity_check,
-    gram_quadrature,
+    gram_sos_check,
     multi_indices,
     multinomial,
     pm_polynomial,
@@ -22,6 +22,8 @@ from opuckit.psd_quartic import (
     raw_m2_failure_exhibit,
 )
 from opuckit.shift_algebra import ShiftPolynomial
+
+from helpers import bumped_block, gram_quadrature
 
 
 def pm_integral_oracle(m, u, v, t, nodes=None):
@@ -330,6 +332,35 @@ class TestPsdCertificate:
             assert not psd_certificate(shifted).certified
 
 
+class TestGramSos:
+    def test_agrees_with_bareiss(self):
+        for m in range(1, 13):
+            block = gram_closed_form(m)
+            assert psd_certificate(block).certified
+            assert gram_sos_check(m, block) is None
+
+    def test_holds_to_m16(self):
+        for m in range(13, 17):
+            assert gram_sos_check(m, gram_closed_form(m)) is None
+
+    def test_rejects_a_bumped_pair(self):
+        for m in (2, 3, 6):
+            assert gram_sos_check(m, bumped_block(m)) == (
+                "entry (0,1) differs from pref*B^T*D*B"
+            )
+
+    def test_rejects_a_doubled_block(self):
+        # still PSD, but not the moment matrix
+        block = gram_closed_form(4)
+        doubled = GramBlock(m=4, entries=tuple(tuple(2 * c for c in row) for row in block.entries))
+        assert psd_certificate(doubled).certified
+        assert gram_sos_check(4, doubled) == "entry (0,0) differs from pref*B^T*D*B"
+
+    def test_rejects_a_block_of_another_order(self):
+        with pytest.raises(ValueError, match="dimension"):
+            gram_sos_check(4, gram_closed_form(3))
+
+
 CERTIFICATE_CASES = [
     [[Fraction(1, 2)]],
     [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]],
@@ -407,10 +438,7 @@ class TestIntegerGramPath:
         bumped_pm = {**pm, (4, 0, 0): pm.get((4, 0, 0), 0) + 1}
         monkeypatch.setattr(psd_quartic, "pm_polynomial", lambda m: bumped_pm)
         assert not gram_identity_check(3)
-        block = gram_closed_form(3)
-        rows = [list(row) for row in block.entries]
-        rows[0][1] = rows[1][0] = rows[0][1] + Fraction(1, 7)
-        bumped = GramBlock(m=3, entries=tuple(tuple(row) for row in rows))
+        bumped = bumped_block(3)
         monkeypatch.setattr(psd_quartic, "pm_polynomial", lambda m: pm)
         monkeypatch.setattr(psd_quartic, "gram_closed_form", lambda m: bumped)
         assert not gram_identity_check(3)
