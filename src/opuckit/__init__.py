@@ -31,7 +31,6 @@ from .measures import (
     bernstein_szego_weight,
     szego_functional,
     szego_functional_series,
-    szego_recursion_polynomials,
     trig_moments,
     verblunsky_from_moments,
 )

@@ -34,26 +34,6 @@ VERSION_HEADER = f"# opuckit {__version__}"
 GRAM_MAX_ORDER = {"certify": 28, "identity": 48, "export": 48}
 
 
-def classify_k_trend(values) -> str:
-    """Trend of K_proxy along an increasing N list.
-
-    "bounded" when the max/min ratio of the last three values is at most
-    1.2; "divergent" when last/first is at least 2; otherwise
-    "inconclusive".  The thresholds are artifact conventions for the
-    declared N lists, not constants from any estimate.
-    """
-    vals = [float(v) for v in values]
-    if len(vals) < 3:
-        return "inconclusive"
-    tail = vals[-3:]
-    lo, hi = min(tail), max(tail)
-    if lo > 0 and hi / lo <= 1.2:
-        return "bounded"
-    if vals[0] > 0 and vals[-1] / vals[0] >= 2.0:
-        return "divergent"
-    return "inconclusive"
-
-
 # -- family plumbing ---------------------------------------------------------
 
 

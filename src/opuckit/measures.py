@@ -35,6 +35,10 @@ DEFAULT_GRID = 4096
 # is a finite float up to this order and overflows past it
 MAX_SERIES_ORDER = 1029
 
+# Indices per block of szego_functional_series; its work arrays hold
+# O(m_max * _BLOCK) floats whatever the prefix length
+_BLOCK = 4096
+
 
 class WeightPositivityError(ValueError):
     """A weight sample was nonpositive (log would be infinite)."""
@@ -120,24 +124,6 @@ def theta_grid(grid_size: int) -> np.ndarray:
         # numpy returns an empty range, not an error, for lengths near 2**63
         raise ValueError(f"grid size {grid_size} is past the longest array numpy can index")
     return 2.0 * np.pi * g / grid_size
-
-
-def szego_recursion_polynomials(prefix, z: complex) -> tuple[complex, complex]:
-    """(phi_N(z), phi*_N(z)) after running the recursion through the prefix.
-
-    phi_0 = phi*_0 = 1, phi_{n+1} = z phi_n - conj(a_n) phi*_n,
-    phi*_{n+1} = phi*_n - a_n z phi_n.  z must sit on the unit circle.
-    """
-    z = complex(z)
-    if abs(abs(z) - 1.0) > 1e-12:
-        raise ValueError(f"|z| = {abs(z)} is off the unit circle beyond 1e-12")
-    if not isinstance(prefix, VerblunskySequence):
-        prefix = VerblunskySequence(tuple(prefix))
-    phi = 1.0 + 0j
-    phistar = 1.0 + 0j
-    for a in prefix.values:
-        phi, phistar = z * phi - a.conjugate() * phistar, phistar - a * z * phi
-    return phi, phistar
 
 
 def _log_weight(prefix: VerblunskySequence, grid_size: int) -> np.ndarray:
@@ -297,10 +283,27 @@ def szego_functional_series(prefix, m_max: int, checkpoints) -> dict:
 
     b_n = z phi_n / phi*_n is a finite Blaschke product, so its Taylor
     coefficients stay bounded by 1 and nothing grows, unlike the phi*
-    coefficients themselves.  The result is exact up to rounding and costs
-    O(N m_max^2).  A degree-k coefficient never depends on higher ones, so
-    every m below m_max is an exact truncation of the same pass.
-    Checkpoints past the end of the prefix read it as zero-extended.
+    coefficients themselves.  A degree-k coefficient never depends on
+    higher ones, so every m below m_max is an exact truncation of the same
+    pass.  Checkpoints past the end of the prefix read it as zero-extended.
+
+    The recursion runs for every index n at once.  Coefficient k+1 of
+    b_{n+1} reads only a_n and the coefficients <= k of b_n, and b_n(0) = 0,
+    so b_n mod z^{M+1} (M = m_max) depends on a_{n-M}..a_{n-1} alone: M
+    Schur steps from b = 0 over those entries give it, step s forming only
+    the coefficients <= s+1 that later steps read.  The entries before a_0
+    are M-1 zeros and a_{-1} = -1, since one step from b = 0 with a = -1
+    gives b_0 = z.  The steps run on numpy arrays of (re, im) float pairs
+    with Python's complex formulas written out, the mass takes math.log1p
+    per entry and the running sums are np.cumsum, which adds in index
+    order; so every value equals, bit for bit, the scalar loop that takes
+    one step per n.  numpy's complex128 products and np.log1p would not:
+    they differ from Python's in the last bit of many entries.  The indices
+    run in blocks of _BLOCK, carrying the mass and the log coefficients
+    across, so the work arrays hold O(M _BLOCK) floats for any N.  A block
+    costs about M^3/6 complex array products: on a 2-core Xeon 0.7 ms at
+    M = 3, N = 2000, where the scalar loop took 12 ms, but 1.3 ms against
+    0.4 ms at M = 8, N = 10.
     Returns {(m, N): K_m} for m = 0..m_max and N in checkpoints.
     """
     if m_max < 0:
@@ -317,48 +320,70 @@ def szego_functional_series(prefix, m_max: int, checkpoints) -> dict:
         raise ValueError("checkpoints must be >= 0")
     M = m_max
     h = [[float(hm_closed_form(m, ell)) for ell in range(m + 1)] for m in range(M + 1)]
-    b = [0j] * (M + 1)  # b_n, degrees 0..M; b_n(0) = 0 for every n
-    if M:
-        b[1] = 1 + 0j
-    t = [0j] * (M + 1)  # log phi*_n, degrees 0..M
-    mass = 0.0
+    sums = [0.0] * (M + 1)  # the mass, then Re log phi*_n at degrees 1..M
     out = {}
 
-    def record(N):
+    def record(N, sums):
         for m in range(M + 1):
-            value = h[m][0] * mass
+            value = h[m][0] * sums[0]
             for ell in range(1, m + 1):
-                value += 2.0 * h[m][ell] * t[ell].real
+                value += 2.0 * h[m][ell] * sums[ell]
             out[(m, N)] = value
 
     pending = iter(wanted)
     nxt = next(pending, None)
-    for n, a in enumerate(prefix.values):
-        if nxt is None:
-            break
-        mass -= math.log1p(-(a.real * a.real + a.imag * a.imag))
-        # d = 1 - a b_n has constant term 1, so neither its log nor the
+    n_end = min(len(prefix), wanted[-1] + 1) if wanted else 0
+    for n0 in range(0, n_end, _BLOCK):
+        n1 = min(n0 + _BLOCK, n_end)
+        B = n1 - n0
+        # entries n0-M..n1-1: index n's window a_{n-M}..a_{n-1} starts at n-n0
+        e = zero_extended(prefix, n0 - M, n1)
+        if n0 < M:
+            e[M - 1 - n0] = -1.0
+        im, neg_re, neg_im = e.imag.copy(), -e.real, -e.imag
+
+        def minus_a_times(s, b):
+            # d_j = -a b_j for the window entries s..s+B-1
+            ar, ai = neg_re[s : s + B], neg_im[s : s + B]
+            return [(ar * br - ai * bi, ar * bi + ai * br) for br, bi in b]
+
+        b = []  # (re, im) arrays of the coefficients 1, 2, ... of b
+        for s in range(M):
+            d = minus_a_times(s, b)
+            # q = (b - conj a) / d to degree s; b after the step is z q
+            q = [(neg_re[s : s + B], im[s : s + B])]
+            for k in range(1, s + 1):
+                acc_re, acc_im = b[k - 1]
+                for j in range(1, k + 1):
+                    (dr, di), (qr, qi) = d[j - 1], q[k - j]
+                    acc_re = acc_re - (dr * qr - di * qi)
+                    acc_im = acc_im - (dr * qi + di * qr)
+                q.append((acc_re, acc_im))
+            b = q
+        # d = 1 - a_n b_n has constant term 1, so neither its log nor the
         # division by it needs a reciprocal
-        d = [1 + 0j] + [-a * c for c in b[1:]]
-        lg = [0j] * (M + 1)
+        d = minus_a_times(M, b)
+        lg = []  # coefficients 1..M of log d
         for k in range(1, M + 1):
-            acc = d[k]
+            acc_re, acc_im = d[k - 1]
             for j in range(1, k):
-                acc -= (j / k) * lg[j] * d[k - j]
-            lg[k] = acc
-            t[k] += acc
-        # q = (b_n - conj a_n) / d to degree M - 1, then b_{n+1} = z q
-        q = ([-a.conjugate()] + b[1:M])[:M]
-        for k in range(1, M):
-            acc = q[k]
-            for j in range(1, k + 1):
-                acc -= d[j] * q[k - j]
-            q[k] = acc
-        b = [0j] + q
-        if nxt == n:
-            record(n)
+                # as Python's float * complex, but for the sign of a zero, which no output shows
+                x = j / k
+                pr, pi = x * lg[j - 1][0], x * lg[j - 1][1]
+                dr, di = d[k - j - 1]
+                acc_re = acc_re - (pr * dr - pi * di)
+                acc_im = acc_im - (pr * di + pi * dr)
+            lg.append((acc_re, acc_im))
+        ar, ai = e.real[M:], im[M:]
+        logs = np.fromiter(map(math.log1p, (-(ar * ar + ai * ai)).tolist()), float, B)
+        # the carried sum goes first, so each sum adds in the loop's order
+        terms = [-logs] + [lg_re for lg_re, _ in lg]
+        runs = [np.cumsum(np.concatenate(([c], x))) for c, x in zip(sums, terms)]
+        while nxt is not None and nxt < n1:
+            record(nxt, [float(r[nxt - n0 + 1]) for r in runs])
             nxt = next(pending, None)
+        sums = [float(r[-1]) for r in runs]
     while nxt is not None:
-        record(nxt)
+        record(nxt, sums)
         nxt = next(pending, None)
     return out

@@ -134,15 +134,15 @@ class DecompositionReport:
 
 
 def decomposition_sweep(seq, m_list, n_list) -> list[DecompositionReport]:
-    """Decomposition rows for every (m, N) of m_list x n_list, sorted by (m, N).
+    """One decomposition row for each distinct (m, N) of m_list x n_list, sorted by (m, N).
 
     Every row refers to the Bernstein-Szego truncation a_0..a_N of the same
     sequence.  Every K_proxy comes from one exact szego_functional_series
     pass to max(n_list).  The tail is a cumulative sum of per-entry tails; Q
     and the power energy come from lukic_partial_sums at each N.
     """
-    m_list = sorted(int(m) for m in m_list)
-    n_list = sorted(int(N) for N in n_list)
+    m_list = sorted({int(m) for m in m_list})
+    n_list = sorted({int(N) for N in n_list})
     if not m_list or not n_list:
         return []
     if m_list[0] < 1:

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from opuckit.measures import hm_closed_form
 from opuckit.psd_quartic import GramBlock, gram_closed_form, multi_indices, multinomial
 from opuckit.rationals import GaussianRational
 from opuckit.sequences import VerblunskySequence
@@ -93,3 +94,97 @@ def bumped_block(m: int) -> GramBlock:
     rows = [list(row) for row in gram_closed_form(m).entries]
     rows[0][1] = rows[1][0] = rows[0][1] + Fraction(1, 7)
     return GramBlock(m=m, entries=tuple(tuple(row) for row in rows))
+
+
+def schur_series_loop(prefix, m_max: int, checkpoints) -> dict:
+    """{(m, N): K_m} from the Schur recursion run as a scalar loop, one step per n.
+
+    The oracle of szego_functional_series, which must return the same dict:
+    b_0 = z, b_{n+1} = z (b_n - conj a_n) / (1 - a_n b_n) on Python complex
+    power series truncated at degree m_max, log phi*_{N+1} = sum log(1 - a_n b_n).
+    """
+    if not isinstance(prefix, VerblunskySequence):
+        prefix = VerblunskySequence(tuple(prefix))
+    wanted = sorted({int(N) for N in checkpoints})
+    M = m_max
+    h = [[float(hm_closed_form(m, ell)) for ell in range(m + 1)] for m in range(M + 1)]
+    b = [0j] * (M + 1)  # b_n, degrees 0..M; b_n(0) = 0 for every n
+    if M:
+        b[1] = 1 + 0j
+    t = [0j] * (M + 1)  # log phi*_n, degrees 0..M
+    mass = 0.0
+    out = {}
+
+    def record(N):
+        for m in range(M + 1):
+            value = h[m][0] * mass
+            for ell in range(1, m + 1):
+                value += 2.0 * h[m][ell] * t[ell].real
+            out[(m, N)] = value
+
+    pending = iter(wanted)
+    nxt = next(pending, None)
+    for n, a in enumerate(prefix.values):
+        if nxt is None:
+            break
+        mass -= math.log1p(-(a.real * a.real + a.imag * a.imag))
+        d = [1 + 0j] + [-a * c for c in b[1:]]
+        lg = [0j] * (M + 1)
+        for k in range(1, M + 1):
+            acc = d[k]
+            for j in range(1, k):
+                acc -= (j / k) * lg[j] * d[k - j]
+            lg[k] = acc
+            t[k] += acc
+        q = ([-a.conjugate()] + b[1:M])[:M]
+        for k in range(1, M):
+            acc = q[k]
+            for j in range(1, k + 1):
+                acc -= d[j] * q[k - j]
+            q[k] = acc
+        b = [0j] + q
+        if nxt == n:
+            record(n)
+            nxt = next(pending, None)
+    while nxt is not None:
+        record(nxt)
+        nxt = next(pending, None)
+    return out
+
+
+def classify_k_trend(values) -> str:
+    """Trend of K_proxy along an increasing N list.
+
+    "bounded" when the max/min ratio of the last three values is at most
+    1.2; "divergent" when last/first is at least 2; otherwise
+    "inconclusive".  The thresholds are artifact conventions for the
+    declared N lists, not constants from any estimate.
+    """
+    vals = [float(v) for v in values]
+    if len(vals) < 3:
+        return "inconclusive"
+    tail = vals[-3:]
+    lo, hi = min(tail), max(tail)
+    if lo > 0 and hi / lo <= 1.2:
+        return "bounded"
+    if vals[0] > 0 and vals[-1] / vals[0] >= 2.0:
+        return "divergent"
+    return "inconclusive"
+
+
+def szego_recursion_polynomials(prefix, z: complex) -> tuple[complex, complex]:
+    """(phi_N(z), phi*_N(z)) after running the recursion through the prefix.
+
+    phi_0 = phi*_0 = 1, phi_{n+1} = z phi_n - conj(a_n) phi*_n,
+    phi*_{n+1} = phi*_n - a_n z phi_n.  z must sit on the unit circle.
+    """
+    z = complex(z)
+    if abs(abs(z) - 1.0) > 1e-12:
+        raise ValueError(f"|z| = {abs(z)} is off the unit circle beyond 1e-12")
+    if not isinstance(prefix, VerblunskySequence):
+        prefix = VerblunskySequence(tuple(prefix))
+    phi = 1.0 + 0j
+    phistar = 1.0 + 0j
+    for a in prefix.values:
+        phi, phistar = z * phi - a.conjugate() * phistar, phistar - a * z * phi
+    return phi, phistar

@@ -19,7 +19,6 @@ from opuckit.absorption import (
     scaling_relation_residual,
     young_subcriticality,
 )
-from opuckit.cli import classify_k_trend
 from opuckit.families import FamilySpec
 from opuckit.measures import MeasureSpec, trig_moments, verblunsky_from_moments
 from opuckit.normal_form import pointwise_equality_check
@@ -42,7 +41,7 @@ from opuckit.sum_rule import (
 )
 from opuckit.shift_algebra import ShiftPolynomial
 
-from helpers import gram_quadrature, hm_ring_coeffs
+from helpers import classify_k_trend, gram_quadrature, hm_ring_coeffs
 from test_shift_algebra import laurent_divisible_by_power, random_x_polynomial
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from opuckit import _kernels, measures, psd_quartic
 from opuckit.absorption import critical_orders, gn_ratio_probe, monomial_sum
-from opuckit.cli import GRAM_MAX_ORDER, classify_k_trend, main
+from opuckit.cli import GRAM_MAX_ORDER, main
 from opuckit.families import FamilySpec
 from opuckit.measures import MeasureSpec, szego_functional_series
 from opuckit.normal_form import NormalFormMonomial
@@ -18,7 +18,7 @@ from opuckit.sequences import ModulusError, VerblunskySequence, lukic_partial_su
 from opuckit.suites import SUITES
 from opuckit.sum_rule import decomposition_report
 
-from helpers import bumped_block
+from helpers import bumped_block, classify_k_trend
 
 
 def csv_rows(path):
@@ -469,6 +469,16 @@ class TestSweepsFollowOneSequence:
             assert main(base + ["--m", str(m), "--out", str(out)]) == 0
             single += out.read_bytes().splitlines()[2:]
         assert joint.read_bytes().splitlines()[2:] == single
+
+    def test_sumrule_repeated_m_or_n_prints_each_row_once(self, tmp_path):
+        base = ["sumrule", "report", "--family", "power", "--c", "0.5", "--gamma", "0.3"]
+        once = tmp_path / "once.csv"
+        assert main(base + ["--m", "2", "--n-list", "100", "--out", str(once)]) == 0
+        assert len(csv_rows(once)) == 1
+        for extra in (["--m", "2", "--n-list", "100,100"], ["--m", "2,2", "--n-list", "100"]):
+            out = tmp_path / "repeated.csv"
+            assert main(base + extra + ["--out", str(out)]) == 0
+            assert out.read_bytes() == once.read_bytes()
 
     def test_sumrule_random_rows_are_prefixes_of_one_sequence(self, tmp_path):
         out = tmp_path / "rows.csv"

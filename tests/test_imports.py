@@ -20,8 +20,6 @@ DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 # Public definitions that no command, check or benchmark reads, each with the
 # test module that reads it: a library capability or a test oracle.
 TEST_ONLY = {
-    "classify_k_trend": "test_acceptance.py",
-    "szego_recursion_polynomials": "test_measures.py",
     "verblunsky_from_moments": "test_measures.py",
     "leibniz_expand": "test_normal_form.py",
     "summation_by_parts": "test_normal_form.py",

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from opuckit import _kernels
-from opuckit.measures import szego_recursion_polynomials, theta_grid
+from opuckit.measures import theta_grid
 from opuckit.sequences import VerblunskySequence
+
+from helpers import szego_recursion_polynomials
 
 
 def random_prefix(rng, n, cap=0.8):

@@ -14,12 +14,13 @@ from opuckit.measures import (
     szego_functional,
     szego_functional_series,
     hm_closed_form,
-    szego_recursion_polynomials,
     theta_grid,
     trig_moments,
     verblunsky_from_moments,
 )
 from opuckit.sequences import VerblunskySequence
+
+from helpers import szego_recursion_polynomials
 
 
 class TestRecursion:

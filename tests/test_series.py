@@ -1,10 +1,12 @@
-"""The exact Schur-ratio series for K_m against a 40-digit reference, and the
-CMV moments against a 250-digit one.
+"""The exact Schur-ratio series for K_m against a 40-digit reference and,
+bit for bit, against the scalar Schur loop; the CMV moments against a
+250-digit one.
 
 Needs mpmath (the `test` extra); the rest of the suite does not.
 """
 
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opuckit import measures
 from opuckit.families import FamilySpec
 from opuckit.measures import (
     MeasureSpec,
@@ -20,6 +23,8 @@ from opuckit.measures import (
     szego_functional_series,
     trig_moments,
 )
+
+from helpers import schur_series_loop
 
 
 def mp_functional(values, m_max, checkpoints, dps=40):
@@ -143,6 +148,58 @@ class TestSeriesFunctional:
             assert abs(series[(m, N)] - want) <= 1e-12 * max(1.0, abs(want))
             if resolved:
                 assert abs(series[(m, N)] - quad[m]) <= 1e-10
+
+
+@st.composite
+def series_cases(draw):
+    """(prefix, m_max, checkpoints): cap <= 0.95, length 0..60, m_max 0..10.
+
+    The checkpoints hold 0, a duplicate and an index past the end.
+    """
+    prefix = draw(capped_prefixes(max_len=60, max_cap=0.95))
+    n = len(prefix)
+    picks = draw(st.lists(st.integers(0, n + 5), min_size=1, max_size=5))
+    past = n + draw(st.integers(0, 5))
+    return prefix, draw(st.integers(0, 10)), [0, *picks, picks[0], past]
+
+
+def bits(values: dict) -> dict:
+    return {key: value.hex() for key, value in values.items()}
+
+
+class TestSeriesEqualsTheScalarLoop:
+    """The vectorised series returns the scalar Schur loop's floats, bit for bit."""
+
+    @given(case=series_cases(), block=st.sampled_from([1, 7, measures._BLOCK]))
+    def test_property(self, case, block):
+        # small blocks carry the sums across many block edges
+        prefix, m_max, checkpoints = case
+        with mock.patch.object(measures, "_BLOCK", block):
+            got = szego_functional_series(prefix, m_max, checkpoints)
+        want = schur_series_loop(prefix, m_max, checkpoints)
+        assert got == want
+        assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            FamilySpec(kind="power", c=0.9, gamma=0.1),
+            FamilySpec(kind="rotated", c=0.8 + 0.3j, gamma=0.2, beta=0.7),
+            FamilySpec(kind="random", seed=11, modulus_cap=0.9),
+        ],
+        ids=["power", "rotated", "random"],
+    )
+    def test_long_prefixes_across_block_edges(self, family):
+        seq = family.generate(9000)
+        checkpoints = (0, 1, 4095, 4096, 4097, 8191, 8192, 9000, 9001, 20000)
+        for m_max in (1, 3, 12):
+            got = szego_functional_series(seq, m_max, checkpoints)
+            want = schur_series_loop(seq, m_max, checkpoints)
+            assert got == want
+            assert bits(got) == bits(want)
+
+    def test_no_checkpoints(self):
+        assert szego_functional_series([0.3, 0.2j], 4, ()) == {}
 
 
 def mp_moments(values, kmax, dps=250):

@@ -23,7 +23,7 @@ from opuckit.sum_rule import (
 )
 from opuckit.shift_algebra import ShiftPolynomial
 
-from helpers import hm_ring_coeffs, random_float_sequence
+from helpers import hm_ring_coeffs, random_float_sequence, schur_series_loop
 
 FIXED = settings.get_profile("fixed")
 
@@ -332,3 +332,33 @@ class TestDecompositionSweep:
         with pytest.raises(ValueError):
             decomposition_sweep(seq, [1], [-1])
         assert decomposition_sweep(seq, [], [3]) == []
+
+    def test_repeated_m_and_n_give_one_row_each(self):
+        seq = FamilySpec(kind="power", c=0.5, gamma=0.3).generate(100)
+        once = decomposition_sweep(seq, [2], [100])
+        assert decomposition_sweep(seq, [2], [100, 100]) == once
+        assert decomposition_sweep(seq, [2, 2], [100]) == once
+        rows = decomposition_sweep(seq, [3, 1, 3], [50, 100, 50])
+        assert [(r.m, r.N) for r in rows] == [(1, 50), (1, 100), (3, 50), (3, 100)]
+
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            FamilySpec(kind="power", c=0.9, gamma=0.1).generate(2000),
+            FamilySpec(kind="power", c=0.9, gamma=0.5).generate(2000),
+            FamilySpec(kind="rotated", c=0.7, gamma=0.3, beta=1.0).generate(2000),
+            random_float_sequence(random.Random(706), 2001, cap=0.5),
+        ],
+        ids=["power-0.1", "power-0.5", "rotated", "random-0.5"],
+    )
+    def test_csv_rows_equal_rows_from_the_scalar_loop(self, seq):
+        # the sweep workload's families: K_proxy and residual from the
+        # scalar Schur loop print the same CSV bytes
+        n_list = [1000, 1500, 2000]
+        K = schur_series_loop(seq, 3, n_list)
+        rows = decomposition_sweep(seq, [1, 2, 3], n_list)
+        assert len(rows) == 9
+        for r in rows:
+            k = K[(r.m, r.N)]
+            want = DecompositionReport(r.m, r.N, k, r.Q, r.tail, r.power_energy, k - r.Q - r.tail)
+            assert r.csv_row() == want.csv_row()
