@@ -86,7 +86,7 @@ class FamilySpec:
                         f"explicit family has {len(self.values)} entries, need {N + 1}"
                     )
                 vals = np.asarray(self.values[: N + 1], dtype=np.complex128)
-        return VerblunskySequence(tuple(complex(v) for v in vals))
+        return VerblunskySequence(vals.tolist())
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}

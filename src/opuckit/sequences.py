@@ -48,12 +48,16 @@ class VerblunskySequence:
     values: tuple = ()
 
     def __post_init__(self):
-        vals = tuple(complex(v) for v in self.values)
-        for i, v in enumerate(vals):
-            # strict, tolerance-free check
-            if not abs(v) < 1.0:
-                raise ModulusError(f"|alpha_{i}| = {abs(v)} is not < 1")
-        object.__setattr__(self, "values", vals)
+        vals = np.asarray(self.values, dtype=np.complex128)
+        if vals.ndim != 1:
+            raise TypeError("values must be a flat sequence of numbers")
+        # strict, tolerance-free check; np.hypot is the libm call behind abs(complex)
+        with np.errstate(over="ignore"):
+            bad = np.flatnonzero(~(np.hypot(vals.real, vals.imag) < 1.0))
+        if bad.size:
+            i = int(bad[0])
+            raise ModulusError(f"|alpha_{i}| = {abs(complex(vals[i]))} is not < 1")
+        object.__setattr__(self, "values", tuple(vals.tolist()))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -137,12 +141,12 @@ def lp_norm(values, p: float, N: int | None = None) -> float:
     """(sum_{n=0}^{N} |v_n|^p)^(1/p); p must be >= 1."""
     if p < 1:
         raise ValueError(f"p = {p} < 1 is not a norm exponent")
-    if isinstance(values, VerblunskySequence):
-        values = values.values
     if N is None:
         N = len(values) - 1
-    total = 0.0
-    for n in range(N + 1):
-        total += abs(entry(values, n)) ** p
+    arr = zero_extended(values, 0, max(N + 1, 0))
+    # hypot and float_power call the libm functions behind abs(v) ** p, and a
+    # cumsum adds in index order, so the sum is the one a scalar loop makes
+    powers = np.float_power(np.hypot(arr.real, arr.imag), p)
+    total = float(np.cumsum(powers)[-1]) if powers.size else 0.0
     return total ** (1.0 / p)
 

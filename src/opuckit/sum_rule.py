@@ -61,37 +61,98 @@ def quadratic_form(seq, m: int, N: int) -> float:
     return _quadratic_form_complex(seq, m, N).real
 
 
+# Entries per step table in log_tails.  A block's table has at most 63 rows
+# (_tail_steps at x = 1/2), so each of its float arrays holds at most
+# 63 * 512 * 8 bytes, under 256 KiB.
+_TAIL_BLOCK = 512
+
+
+def _tail_steps(x_max: float) -> int:
+    """Table rows for a block whose largest x is x_max <= 1/2: at most 63.
+
+    After step i the next addend is below x^(i+1) times the sum, so the stop
+    test holds by step log(1e-18) / log(x_max); three more rows absorb rounding.
+    """
+    return math.ceil(math.log(1e-18) / math.log(x_max)) + 3
+
+
+def _series_tails(x: np.ndarray, m: int) -> np.ndarray:
+    """sum_{j>m} x^j/j for 0 < x <= 1/2, one step table per block of entries.
+
+    Every entry gets the float result of the scalar loop
+
+        term = x**(m+1); total = 0.0; j = m + 1
+        repeat: total += term/j; term *= x; j += 1
+        until term/j <= 1e-18 * total
+
+    by the same operations in the same order: row i of a block's table holds
+    the loop's term T, addend D = T/j and sum S after step i, and the entry's
+    tail is S[i] at the first i with D[i+1] <= 1e-18 S[i].  A column whose
+    stop lies past the table goes on from its last row in a further table.
+    """
+    out = np.empty(len(x))
+    if not len(x):
+        return out
+    rows = _tail_steps(float(x.max()))
+    width = min(_TAIL_BLOCK, len(x))
+    T, D, S = (np.empty((rows, width)) for _ in range(3))
+    hit = np.empty((rows - 1, width), dtype=bool)
+    for start in range(0, len(x), _TAIL_BLOCK):
+        cols = np.arange(start, min(start + _TAIL_BLOCK, len(x)))
+        term = np.float_power(x[cols], m + 1.0)
+        total = np.zeros(len(cols))
+        j = m + 1
+        while cols.size:
+            xs = x[cols]
+            n, w = _tail_steps(float(xs.max())), len(cols)
+            t, d, s, h = T[:n, :w], D[:n, :w], S[:n, :w], hit[: n - 1, :w]
+            t[0] = term
+            for i in range(1, n):
+                np.multiply(t[i - 1], xs, out=t[i])
+            np.divide(t, np.arange(j, j + n, dtype=np.float64)[:, None], out=d)
+            np.add(total, d[0], out=s[0])
+            for i in range(1, n):
+                np.add(s[i - 1], d[i], out=s[i])
+            # rows 0..n-2 of t take 1e-18 S; row n-1 keeps the carried term
+            np.less_equal(d[1:], np.multiply(s[:-1], 1e-18, out=t[:-1]), out=h)
+            stop = h.argmax(axis=0)
+            k = np.arange(w)
+            done = h[stop, k]
+            out[cols[done]] = s[stop[done], k[done]]
+            live = ~done
+            cols, term, total, j = cols[live], t[-1, live], s[-2, live], j + n - 1
+    return out
+
+
 def log_tails(alphas, m: int) -> np.ndarray:
     """log(1/(1-|a|^2)) minus its first m Taylor terms, for every entry a.
 
     Each entry equals sum_{j>m} |a|^{2j}/j.  Small |a| would lose the tail to
     cancellation in the direct formula, so below x = |a|^2 = 1/2 the tail
     series is summed directly, per entry until its next term falls below
-    1e-18 of the sum; above, the closed form is accurate.  Always
-    >= |a|^{2m+2}/(m+1).  Vectorised across entries; the powers and log1p
-    stay scalar libm calls, so each entry is the same float as log_tail.
+    1e-18 of the sum (_series_tails); above, the closed form is accurate.
+    Always >= |a|^{2m+2}/(m+1).
+
+    Every entry is the same float as the one-entry scalar formula: x is
+    np.float_power(np.hypot(re, im), 2.0), which calls the libm hypot and pow
+    that Python's abs(a) ** 2 calls, and log1p stays a scalar math.log1p.
+    np.abs on complex arrays and np.power use their own SIMD code and differ
+    from those in the last bit for a sizeable share of entries.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    alphas = np.asarray(alphas, dtype=np.complex128).tolist()
-    x = np.array([abs(a) ** 2 for a in alphas], dtype=np.float64)
+    alphas = np.asarray(alphas, dtype=np.complex128)
+    with np.errstate(over="ignore"):
+        x = np.float_power(np.hypot(alphas.real, alphas.imag), 2.0)
     over = np.flatnonzero(x >= 1.0)
     if over.size:
-        raise ValueError(f"|alpha| = {abs(alphas[over[0]])} is not < 1")
+        raise ValueError(f"|alpha| = {abs(complex(alphas[over[0]]))} is not < 1")
     out = np.zeros(len(x))
 
-    small = (x > 0.0) & (x <= 0.5)
-    xs = x[small]
-    term = np.array([v ** (m + 1) for v in xs.tolist()], dtype=np.float64)
-    total = np.zeros(len(xs))
-    live = np.ones(len(xs), dtype=bool)
-    j = m + 1
-    while live.any():
-        total = np.where(live, total + term / j, total)
-        term = np.where(live, term * xs, term)
-        j += 1
-        live &= ~(term / j <= 1e-18 * total)
-    out[small] = total
+    # ascending, so each block's step table is as short as its entries allow
+    small = np.flatnonzero((x > 0.0) & (x <= 0.5))
+    small = small[np.argsort(x[small])]
+    out[small] = _series_tails(x[small], m)
 
     large = x > 0.5
     xl = x[large]
@@ -157,15 +218,13 @@ def decomposition_sweep(seq, m_list, n_list) -> list[DecompositionReport]:
         raise ValueError("N must be >= 0")
     if not isinstance(seq, VerblunskySequence):
         seq = VerblunskySequence(tuple(seq))
-    n_max = n_list[-1]
-    values = seq.values[: n_max + 1]
     K = szego_functional_series(seq, m_list[-1], n_list)
-    padded = zero_extended(seq, 0, n_max + 1)
+    padded = zero_extended(seq, 0, n_list[-1] + 1)
     rows = []
     for m in m_list:
         tails = np.cumsum(log_tails(padded, m))
         for N in n_list:
-            energy = lukic_partial_sums(values[: N + 1], m, N)
+            energy = lukic_partial_sums(padded[: N + 1], m, N)
             Q = energy.diff_energy / 2.0**m
             tail = float(tails[N])
             rows.append(

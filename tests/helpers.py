@@ -12,7 +12,7 @@ import numpy as np
 from opuckit.measures import hm_closed_form
 from opuckit.psd_quartic import GramBlock, gram_closed_form, multi_indices, multinomial
 from opuckit.rationals import GaussianRational
-from opuckit.sequences import VerblunskySequence
+from opuckit.sequences import VerblunskySequence, entry
 from opuckit.shift_algebra import NormalFormMonomial, ShiftPolynomial
 
 
@@ -188,3 +188,18 @@ def szego_recursion_polynomials(prefix, z: complex) -> tuple[complex, complex]:
     for a in prefix.values:
         phi, phistar = z * phi - a.conjugate() * phistar, phistar - a * z * phi
     return phi, phistar
+
+
+def lp_norm_loop(values, p: float, N: int | None = None) -> float:
+    """(sum_{n=0}^{N} |v_n|^p)^(1/p) as a scalar loop over the entries, one abs and ** each.
+
+    The oracle of lp_norm, which must return the same float.
+    """
+    if isinstance(values, VerblunskySequence):
+        values = values.values
+    if N is None:
+        N = len(values) - 1
+    total = 0.0
+    for n in range(N + 1):
+        total += abs(entry(values, n)) ** p
+    return total ** (1.0 / p)

@@ -16,6 +16,8 @@ from opuckit.sequences import (
     zero_extended,
 )
 
+from helpers import lp_norm_loop
+
 
 def brute_force_difference(values, m, n):
     """Independent oracle: the binomial sum written out directly."""
@@ -52,6 +54,33 @@ class TestConstruction:
         with pytest.raises(ModulusError):
             VerblunskySequence((1.0 + 0j,))
         VerblunskySequence((0.999999,))
+
+    # each message is the one the entry-by-entry abs(v) < 1 check gave
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((0.1, 1.0, 2.0), "|alpha_1| = 1.0 is not < 1"),
+            ((0.6 + 0.8j,), "|alpha_0| = 1.0 is not < 1"),
+            ((0.1, math.nan), "|alpha_1| = nan is not < 1"),
+            ((complex(0.2, math.nan), 0.5), "|alpha_0| = nan is not < 1"),
+            ((math.inf,), "|alpha_0| = inf is not < 1"),
+            ((complex(math.nan, -math.inf),), "|alpha_0| = inf is not < 1"),
+            ((-1e-300, 0.3 - 1.2j), "|alpha_1| = 1.236931687685298 is not < 1"),
+        ],
+    )
+    def test_rejects_the_first_entry_off_the_open_disc(self, values, message):
+        with pytest.raises(ModulusError) as err:
+            VerblunskySequence(values)
+        assert str(err.value) == message
+
+    def test_accepts_one_ulp_inside_the_circle(self):
+        below = math.nextafter(1.0, 0.0)
+        seq = VerblunskySequence((below, complex(0.0, -below)))
+        assert seq.values == (complex(below), complex(0.0, -below))
+
+    def test_rejects_nested_values(self):
+        with pytest.raises(TypeError):
+            VerblunskySequence(((0.1, 0.2),))
 
     def test_zero_extension(self):
         seq = VerblunskySequence((0.1, 0.2))
@@ -199,3 +228,16 @@ class TestLpNorm:
 
     def test_window(self):
         assert lp_norm([3, 4, 100], 2, N=1) == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 8 / 3, 3, 4, 4.5, 8])
+    def test_equals_the_scalar_loop(self, p):
+        rng = np.random.default_rng(2000)
+        vals = rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300)
+        vals[:4] = [0, 1e-310, math.nextafter(1.0, 2.0), -math.nextafter(1.0, 0.0)]
+        # a numpy array (as absorption passes), a Python list, a
+        # VerblunskySequence, and windows past the end and before the start
+        cases = [(vals, None), (vals.tolist(), None)]
+        cases += [(vals, N) for N in (40, 350, -1, -3)]
+        cases.append((VerblunskySequence(tuple(0.9 * vals[4:] / 1.5)), 100))
+        for values, N in cases:
+            assert float(lp_norm(values, p, N)).hex() == float(lp_norm_loop(values, p, N)).hex()

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from opuckit.sum_rule import (
     quadratic_form,
     _quadratic_form_complex,
 )
+from opuckit import sum_rule
 from opuckit.shift_algebra import ShiftPolynomial
 
 from helpers import hm_ring_coeffs, random_float_sequence, schur_series_loop
@@ -215,6 +217,56 @@ class TestLogTails:
             got = log_tails(alphas, m)
             want = [log_tail_loop(complex(a), m) for a in alphas]
             assert got.tolist() == want
+
+    SQRT_HALF = math.sqrt(0.5)
+
+    # block 1 and 7 put the loop's stop in many separate tables; two rows per
+    # table make every entry go on from table to table
+    @pytest.mark.parametrize(
+        "block, steps", [(1, None), (7, None), (7, 2), (sum_rule._TAIL_BLOCK, None)]
+    )
+    @settings(FIXED, max_examples=60)
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from(
+                        [SQRT_HALF, math.nextafter(SQRT_HALF, 0), math.nextafter(SQRT_HALF, 1), 0.0]
+                    ),
+                    # pow underflows: x**(m+1) and then x itself go subnormal or 0
+                    st.floats(min_value=0.0, max_value=1e-150),
+                    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                ),
+                # angle 0 keeps the drawn modulus exact
+                st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2 * math.pi)),
+            ),
+            max_size=40,
+        ),
+        m=st.integers(1, 12),
+    )
+    def test_equals_the_loop_bit_for_bit(self, block, steps, entries, m):
+        alphas = [r * complex(math.cos(t), math.sin(t)) for r, t in entries]
+        alphas = [a for a in alphas if abs(a) < 1.0]
+        rows = (lambda x_max: steps) if steps else sum_rule._tail_steps
+        with mock.patch.object(sum_rule, "_TAIL_BLOCK", block), mock.patch.object(
+            sum_rule, "_tail_steps", rows
+        ):
+            got = log_tails(alphas, m)
+        assert [v.hex() for v in got.tolist()] == [log_tail_loop(a, m).hex() for a in alphas]
+
+    @pytest.mark.parametrize(
+        "spec, m",
+        [
+            (FamilySpec("power", c=0.9, gamma=0.1), 1),
+            (FamilySpec("power", c=0.9, gamma=0.5), 2),
+            (FamilySpec("rotated", c=0.7, gamma=0.3, beta=1.0), 3),
+            (FamilySpec("random", seed=904, modulus_cap=0.5), 2),
+        ],
+    )
+    def test_equals_the_loop_on_a_large_sweep(self, spec, m):
+        alphas = spec.generate(200_000).values
+        got = log_tails(alphas, m)
+        assert got.tolist() == [log_tail_loop(a, m) for a in alphas]
 
     def test_empty_and_rejects(self):
         assert log_tails([], 2).shape == (0,)
