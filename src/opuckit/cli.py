@@ -12,6 +12,7 @@ version header line).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -237,10 +238,12 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviation of --config: main finds it by its exact spelling
     parser = argparse.ArgumentParser(
         prog="opuckit",
         description="Desk-scale checks for the single-critical-point higher-order "
         "Szego sum-rule calculus.",
+        allow_abbrev=False,
     )
     parser.add_argument(
         "--config",
@@ -313,15 +316,40 @@ def _check_config_keys(parser, keys: dict, flags: set, prefix: str):
             parser.error(f"argument --config: {prefix + key!r} must be a string or a number")
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
+def _config_path(argv) -> str | None:
+    """The FILE of the first `--config FILE` or `--config=FILE` in argv, if any."""
+    for at, token in enumerate(argv):
+        if token.startswith("--config="):
+            return token[len("--config="):]
+        if token == "--config":
+            if at + 1 == len(argv):
+                _shared_parser().error("argument --config: expected one argument")
+            return argv[at + 1]
+    return None
+
+
 def main(argv=None) -> int:
+    """Run one opuckit command on argv (default sys.argv[1:]) and return its exit code.
+
+    main may be called many times in one process.  It builds its parser once,
+    on the first call, and every later call without --config reuses it.  A
+    call with --config builds a parser of its own, so the file's defaults
+    apply to that call only.  The shared parser holds the cmd_* functions it
+    was built with: a cmd_* function patched after the first call is not seen.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    if "--config" in argv:
-        at = argv.index("--config") + 1
-        if at == len(argv):
-            parser.error("argument --config: expected one argument")
+    path = _config_path(argv)
+    if path is None:
+        parser = _shared_parser()
+    else:
+        parser = build_parser()
         try:
-            with open(argv[at]) as fh:
+            with open(path) as fh:
                 defaults = json.load(fh)
         except (OSError, ValueError) as exc:
             parser.error(f"argument --config: {exc}")

@@ -68,12 +68,22 @@ class MeasureSpec:
 
     @classmethod
     def sampled(cls, weights) -> "MeasureSpec":
-        w = tuple(float(x) for x in weights)
+        try:
+            arr = np.asarray(weights)
+        except ValueError:  # a ragged nesting; float() below names the entry
+            arr = None
+        # only a flat array of bools, ints or reals converts in numpy; complex,
+        # string, object and nested input goes through float(), which accepts
+        # and refuses it as it always has (numpy would drop an imaginary part)
+        if arr is None or arr.ndim != 1 or arr.dtype.kind not in "biuf":
+            arr = np.array([float(x) for x in weights], dtype=np.float64)
+        arr = arr.astype(np.float64, copy=False)
+        w = tuple(arr.tolist())
         if not w:
             raise ValueError("sampled weights must not be empty")
-        if any(not (x > 0.0) for x in w):
+        if not (arr > 0.0).all():
             raise WeightPositivityError("sampled weights must be strictly positive")
-        if not all(map(math.isfinite, w)):
+        if not np.isfinite(arr).all():
             raise ValueError("sampled weights must be finite")
         # a finite sum bounds every FFT output of trig_moments
         if not math.isfinite(sum(w)):

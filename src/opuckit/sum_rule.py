@@ -144,7 +144,8 @@ def log_tails(alphas, m: int) -> np.ndarray:
     alphas = np.asarray(alphas, dtype=np.complex128)
     with np.errstate(over="ignore"):
         x = np.float_power(np.hypot(alphas.real, alphas.imag), 2.0)
-    over = np.flatnonzero(x >= 1.0)
+    # ~(x < 1) also refuses a nan modulus, which would fall through both branches
+    over = np.flatnonzero(~(x < 1.0))
     if over.size:
         raise ValueError(f"|alpha| = {abs(complex(alphas[over[0]]))} is not < 1")
     out = np.zeros(len(x))

@@ -2,13 +2,16 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opuckit import _kernels, measures, psd_quartic
+from opuckit import _kernels, cli, measures, psd_quartic
 from opuckit.absorption import critical_orders, gn_ratio_probe, monomial_sum
 from opuckit.cli import GRAM_MAX_ORDER, main
 from opuckit.families import FamilySpec
@@ -886,8 +889,10 @@ class TestConfigErrors:
         [
             ["--config"],
             ["--config", "/nonexistent/opuckit-config.json", "verify"],
+            ["--config=/nonexistent/opuckit-config.json", "verify"],
+            ["--config=", "verify"],
         ],
-        ids=["missing-value", "missing-file"],
+        ids=["missing-value", "missing-file", "missing-file-equals-form", "empty-equals-form"],
     )
     def test_exit_2_with_one_error_line(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
@@ -999,3 +1004,103 @@ class TestConfigErrors:
         cfg.write_text(json.dumps({"grid": 64, "n-list": "10,20"}))
         assert main(["--config", str(cfg), "verify", "--suite", "absorb"]) == 0
         assert "checks passed" in capsys.readouterr().out
+
+    def test_equals_form_applies_the_file(self, tmp_path, capsys):
+        # --config=FILE was parsed by argparse but never read
+        cfg, bad = tmp_path / "cfg.json", tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"grid": 256}))
+        bad.write_text("[1, 2]")
+        out = tmp_path / "rows.csv"
+        family = ["--family", "constant", "--c", "0.5", "--n-list", "5"]
+        assert main([f"--config={cfg}", "sumrule", "report", *family, "--out", str(out)]) == 0
+        assert json.loads((tmp_path / "rows.csv.config.json").read_text())["grid_size"] == 256
+        with pytest.raises(SystemExit) as info:
+            main([f"--config={bad}", "verify", "--suite", "absorb"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == ["opuckit: error: argument --config: expected a JSON object of flag "
+                          "defaults"]
+
+    def test_abbreviation_exits_2_with_one_error_line(self, tmp_path, capsys):
+        # argparse took --conf for --config, which main never read
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": 256}))
+        with pytest.raises(SystemExit) as info:
+            main(["--conf", str(cfg), "verify", "--suite", "absorb"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert captured.out == "" and "Traceback" not in captured.err and len(errors) == 1
+
+
+class TestSharedParser:
+    """main reuses one parser per process; --config defaults reach only their own call."""
+
+    FAMILY = ["--family", "constant", "--c", "0.5", "--n-list", "5"]
+
+    def sidecar(self, tmp_path, name, *config):
+        out = tmp_path / name
+        assert main([*config, "sumrule", "report", *self.FAMILY, "--out", str(out)]) == 0
+        return json.loads((tmp_path / (name + ".config.json")).read_text())
+
+    def config(self, tmp_path, name, keys):
+        path = tmp_path / name
+        path.write_text(json.dumps(keys))
+        return ["--config", str(path)]
+
+    def test_plain_call_after_a_config_call_has_the_built_in_defaults(self, tmp_path):
+        cli._shared_parser.cache_clear()
+        cfg = self.config(tmp_path, "cfg.json", {"grid": 256, "m": "2"})
+        configured = self.sidecar(tmp_path, "a.csv", *cfg)
+        assert configured["grid_size"] == 256 and configured["m_list"] == [2]
+        plain = self.sidecar(tmp_path, "b.csv")
+        assert plain["grid_size"] == 4096 and plain["m_list"] == [1]
+
+    def test_config_call_after_a_plain_call_leaks_into_no_later_call(self, tmp_path):
+        cli._shared_parser.cache_clear()
+        before = self.sidecar(tmp_path, "rows.csv")
+        cfg = self.config(tmp_path, "cfg.json", {"grid": 256, "m": "2"})
+        configured = self.sidecar(tmp_path, "a.csv", *cfg)
+        assert configured["grid_size"] == 256 and configured["m_list"] == [2]
+        assert self.sidecar(tmp_path, "rows.csv") == before
+        assert before["grid_size"] == 4096 and before["m_list"] == [1]
+
+    def test_each_config_call_applies_only_its_own_keys(self, tmp_path):
+        first = self.sidecar(tmp_path, "a.csv", *self.config(tmp_path, "a.json", {"grid": 256}))
+        second = self.sidecar(tmp_path, "b.csv", *self.config(tmp_path, "b.json", {"m": "2"}))
+        assert (first["grid_size"], first["m_list"]) == (256, [1])
+        assert (second["grid_size"], second["m_list"]) == (4096, [2])
+
+    def test_call_after_a_parse_error_prints_what_a_fresh_process_prints(self, capsys):
+        argv = ["sumrule", "report", "--family", "constant", "--c", "0.5", "--m", "1,2",
+                "--n-list", "5,10"]
+        with pytest.raises(SystemExit) as info:
+            main(["sumrule", "report", "--family", "constant", "--c", "half"])
+        assert info.value.code == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        in_process = capsys.readouterr().out
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        fresh = subprocess.run([sys.executable, "-m", "opuckit.cli", *argv], env=env,
+                               capture_output=True, text=True, check=True, timeout=120)
+        assert in_process == fresh.stdout
+
+    def test_only_config_calls_build_a_parser_of_their_own(self, tmp_path, monkeypatch):
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._shared_parser.cache_clear()
+        for _ in range(3):
+            assert main(["verify", "--suite", "absorb"]) == 0
+        assert len(built) == 1
+        cfg = self.config(tmp_path, "cfg.json", {"grid": 256})
+        for _ in range(2):
+            assert main([*cfg, "verify", "--suite", "absorb"]) == 0
+        assert len(built) == 3

@@ -219,6 +219,40 @@ class TestFunctional:
         with pytest.raises(ValueError, match=fault):
             MeasureSpec.sampled(weights)
 
+    @pytest.mark.parametrize(
+        "weights, error, message",
+        [([1.0, 0.0], WeightPositivityError, "sampled weights must be strictly positive"),
+         ([1.0, -1], WeightPositivityError, "sampled weights must be strictly positive"),
+         ([1.0, math.nan], WeightPositivityError, "sampled weights must be strictly positive"),
+         ([math.inf, -1.0], WeightPositivityError, "sampled weights must be strictly positive"),
+         (np.array([1.0, math.inf]), ValueError, "sampled weights must be finite"),
+         ([1.0, 10**400], OverflowError, "int too large to convert to float"),
+         ([1.0, "abc"], ValueError, "could not convert string to float: 'abc'"),
+         ([1.0, None], TypeError,
+          "float() argument must be a string or a real number, not 'NoneType'"),
+         ([1.0, 1j], TypeError, "float() argument must be a string or a real number, not 'complex'"),
+         ([[1.0], 2.0], TypeError, "float() argument must be a string or a real number, not 'list'")],
+        ids=["zero", "minus-one", "nan", "inf-then-negative", "inf-array", "huge-int", "str",
+             "none", "complex", "ragged"],
+    )
+    def test_sampled_refuses_with_the_float_conversion_messages(self, weights, error, message):
+        # the same types and messages as converting each entry with float()
+        with pytest.raises(error) as info:
+            MeasureSpec.sampled(weights)
+        assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "weights",
+        [np.random.default_rng(5).random(4096) + 0.01,
+         np.array([0.1, 0.3], dtype=np.float32), np.array([1, 3]), [1, 2**53 + 1, 2**63],
+         [True, 2.5], ["1.5", 2.0]],
+        ids=["float64", "float32", "int-array", "python-ints", "bool", "str"],
+    )
+    def test_sampled_weights_are_the_float_of_each_entry(self, weights):
+        spec = MeasureSpec.sampled(weights)
+        assert spec.weights == tuple(float(x) for x in weights)
+        assert all(type(x) is float for x in spec.weights)
+
     def test_divergent_prefix_stays_finite(self):
         # the weight itself underflows here; the functional must not
         prefix = VerblunskySequence(tuple([0.9] * 1600))

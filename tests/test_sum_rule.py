@@ -276,6 +276,17 @@ class TestLogTails:
             log_tails([0.1], 0)
 
 
+    @pytest.mark.parametrize(
+        "alpha", [math.nan, complex(math.nan, 0.0), complex(0.0, math.nan)],
+        ids=["nan", "nan-real-part", "nan-imaginary-part"],
+    )
+    def test_nan_entry_is_refused(self, alpha):
+        # a nan modulus fails x >= 1 as well as x <= 1/2, and read as tail 0
+        with pytest.raises(ValueError, match=r"^\|alpha\| = nan is not < 1$"):
+            log_tail(alpha, 2)
+        with pytest.raises(ValueError, match=r"^\|alpha\| = nan is not < 1$"):
+            log_tails([0.1, alpha], 2)
+
 class TestDecompositionReport:
     def test_zero_sequence(self):
         seq = VerblunskySequence((0j,) * 5)
