@@ -61,7 +61,6 @@ from .sequences import (
     EnergyReport,
     ModulusError,
     VerblunskySequence,
-    forward_difference,
     lp_norm,
     lukic_partial_sums,
 )

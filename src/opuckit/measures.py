@@ -138,6 +138,8 @@ def theta_grid(grid_size: int) -> np.ndarray:
 
 def _log_weight(prefix: VerblunskySequence, grid_size: int) -> np.ndarray:
     """log w on the uniform grid, computed entirely in log space."""
+    if grid_size < 16:
+        raise ValueError("grid_size must be at least 16")
     mods2 = np.abs(np.asarray(prefix.values, dtype=np.complex128)) ** 2
     log_prefactor = float(np.sum(np.log1p(-mods2)))
     z = np.exp(1j * theta_grid(grid_size))
@@ -151,8 +153,6 @@ def bernstein_szego_weight(prefix, grid_size: int = DEFAULT_GRID) -> np.ndarray:
     Raises if the samples underflow to zero; use szego_functional for long
     prefixes, it never leaves log space.
     """
-    if grid_size < 16:
-        raise ValueError("grid_size must be at least 16")
     if not isinstance(prefix, VerblunskySequence):
         prefix = VerblunskySequence(tuple(prefix))
     with np.errstate(under="ignore", over="ignore"):

@@ -28,19 +28,6 @@ def complex_pairs(obj, name: str = "values") -> tuple:
     return tuple(complex(re, im) for re, im in obj)
 
 
-def entry(seq, n: int):
-    """Index into a sequence-like object with the zero extension convention.
-
-    Accepts a VerblunskySequence or any plain sequence (list, tuple, numpy
-    array); entries may be complex floats or exact scalars.  Out-of-range
-    and negative indices give 0.
-    """
-    values = seq.values if isinstance(seq, VerblunskySequence) else seq
-    if 0 <= n < len(values):
-        return values[n]
-    return 0
-
-
 @dataclass(frozen=True)
 class VerblunskySequence:
     """Finite complex sequence with all moduli strictly below 1."""
@@ -83,7 +70,8 @@ class EnergyReport:
 def zero_extended(seq, start: int, stop: int) -> np.ndarray:
     """Complex array of entries start..stop-1, 0 outside the stored prefix.
 
-    Accepts a VerblunskySequence or any plain sequence, as entry() does.
+    Accepts a VerblunskySequence or any plain sequence (list, tuple, numpy
+    array) of numbers.
     """
     values = seq.values if isinstance(seq, VerblunskySequence) else seq
     out = np.zeros(stop - start, dtype=np.complex128)
@@ -92,26 +80,6 @@ def zero_extended(seq, start: int, stop: int) -> np.ndarray:
     if hi > lo:
         out[lo - start : hi - start] = np.asarray(values[lo:hi], dtype=np.complex128)
     return out
-
-
-def forward_difference(seq, m: int, n: int):
-    """m-th forward difference at index n via the binomial expansion.
-
-    Computed directly as sum_j (-1)^(m-j) C(m, j) * a_{n+j}, which keeps the
-    cost O(m) per index and avoids drift from repeated subtraction.  Works on
-    float and exact entries alike.
-    """
-    if m < 0:
-        raise ValueError("difference order must be >= 0")
-    if m == 0:
-        return entry(seq, n)
-    total = 0
-    for j in range(m + 1):
-        c = math.comb(m, j)
-        if (m - j) % 2:
-            c = -c
-        total = total + c * entry(seq, n + j)
-    return total
 
 
 def difference_array(seq, m: int, N: int) -> np.ndarray:

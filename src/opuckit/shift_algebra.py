@@ -33,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .rationals import GR_ZERO, GaussianRational
-from .sequences import VerblunskySequence, entry
+from .sequences import VerblunskySequence
 
 
 class ShiftPolynomial:
@@ -432,11 +432,11 @@ def _table_sums(k: int, seq, window, *groups):
     carrying the factor L * D^(2k), and that denominator is returned.  Over
     a float sequence entries and coefficients stay (re, im) float pairs and
     the denominator is None.  Delta^a is tabulated once per window for each
-    order a the terms read, in the binomial form `forward_difference` uses,
-    and each product runs coefficient first, then the factors in order, as
-    complex multiplication does, so a float sum is the same float as the
-    per-factor complex loop's (up to the sign of a zero).  Returns one list
-    of (re, im) sums per group, one pair per n, and the denominator.
+    order a the terms read, in the binomial form sum_j (-1)^(a-j) C(a, j)
+    a_{n+j}, and each product runs coefficient first, then the factors in
+    order, as complex multiplication does, so a float sum is the same float
+    as the per-factor complex loop's (up to the sign of a zero).  Returns one
+    list of (re, im) sums per group, one pair per n, and the denominator.
     """
     exact = _is_exact_sequence(seq)
     window = list(window)
@@ -447,7 +447,7 @@ def _table_sums(k: int, seq, window, *groups):
     shifts = [s for factors in factor_lists for _, s in factors]
     base = min(window) + min(shifts)
     stop = max(window) + max(shifts) + max(orders)
-    values = [entry(seq, j) for j in range(base, stop + 1)]
+    values = _zero_extended_list(seq, base, stop + 1)
     coeffs = [c for terms in groups for c, _ in terms]
     if exact:
         parts = [_exact_parts(v) for v in values]
@@ -493,8 +493,22 @@ def _table_sums(k: int, seq, window, *groups):
     return sums, den
 
 
+def _zero_extended_list(seq, start: int, stop: int) -> list:
+    """Entries start..stop-1 of seq as a list, int 0 outside the stored prefix.
+
+    One slice of the prefix keeps its entries' types; a numeric ndarray's
+    slice converts with tolist, so the array is never iterated.
+    """
+    values = seq.values if isinstance(seq, VerblunskySequence) else seq
+    lo, hi = max(start, 0), min(stop, len(values))
+    inner = values[lo:hi] if lo < hi else []
+    inner = inner.tolist() if isinstance(inner, np.ndarray) else list(inner)
+    left = max(min(stop, 0) - start, 0)
+    return [0] * left + inner + [0] * (stop - start - left - len(inner))
+
+
 def _difference_row(row: list, a: int) -> list:
-    """Delta^a of a row of (re, im) pairs, as forward_difference computes it.
+    """Delta^a of a row of (re, im) pairs in the binomial form.
 
     Order 0 is the row itself; above it, sum_j (-1)^(a-j) C(a, j) row[i+j]
     at each i, accumulated from 0 in ascending j.

@@ -61,77 +61,20 @@ def quadratic_form(seq, m: int, N: int) -> float:
     return _quadratic_form_complex(seq, m, N).real
 
 
-# Entries per step table in log_tails.  A block's table has at most 63 rows
-# (_tail_steps at x = 1/2), so each of its float arrays holds at most
-# 63 * 512 * 8 bytes, under 256 KiB.
-_TAIL_BLOCK = 512
+def log_tails(alphas, m: int) -> np.ndarray:
+    """log(1/(1-|a|^2)) minus its first m Taylor terms, for every entry a.
 
-
-def _tail_steps(x_max: float) -> int:
-    """Table rows for a block whose largest x is x_max <= 1/2: at most 63.
-
-    After step i the next addend is below x^(i+1) times the sum, so the stop
-    test holds by step log(1e-18) / log(x_max); three more rows absorb rounding.
-    """
-    return math.ceil(math.log(1e-18) / math.log(x_max)) + 3
-
-
-def _series_tails(x: np.ndarray, m: int) -> np.ndarray:
-    """sum_{j>m} x^j/j for 0 < x <= 1/2, one step table per block of entries.
-
-    Every entry gets the float result of the scalar loop
+    Each entry equals sum_{j>m} |a|^{2j}/j.  Small |a| would lose the tail to
+    cancellation in the direct formula, so at and below x = |a|^2 = 1/2 the
+    tail series is summed directly by the scalar loop
 
         term = x**(m+1); total = 0.0; j = m + 1
         repeat: total += term/j; term *= x; j += 1
         until term/j <= 1e-18 * total
 
-    by the same operations in the same order: row i of a block's table holds
-    the loop's term T, addend D = T/j and sum S after step i, and the entry's
-    tail is S[i] at the first i with D[i+1] <= 1e-18 S[i].  A column whose
-    stop lies past the table goes on from its last row in a further table.
-    """
-    out = np.empty(len(x))
-    if not len(x):
-        return out
-    rows = _tail_steps(float(x.max()))
-    width = min(_TAIL_BLOCK, len(x))
-    T, D, S = (np.empty((rows, width)) for _ in range(3))
-    hit = np.empty((rows - 1, width), dtype=bool)
-    for start in range(0, len(x), _TAIL_BLOCK):
-        cols = np.arange(start, min(start + _TAIL_BLOCK, len(x)))
-        term = np.float_power(x[cols], m + 1.0)
-        total = np.zeros(len(cols))
-        j = m + 1
-        while cols.size:
-            xs = x[cols]
-            n, w = _tail_steps(float(xs.max())), len(cols)
-            t, d, s, h = T[:n, :w], D[:n, :w], S[:n, :w], hit[: n - 1, :w]
-            t[0] = term
-            for i in range(1, n):
-                np.multiply(t[i - 1], xs, out=t[i])
-            np.divide(t, np.arange(j, j + n, dtype=np.float64)[:, None], out=d)
-            np.add(total, d[0], out=s[0])
-            for i in range(1, n):
-                np.add(s[i - 1], d[i], out=s[i])
-            # rows 0..n-2 of t take 1e-18 S; row n-1 keeps the carried term
-            np.less_equal(d[1:], np.multiply(s[:-1], 1e-18, out=t[:-1]), out=h)
-            stop = h.argmax(axis=0)
-            k = np.arange(w)
-            done = h[stop, k]
-            out[cols[done]] = s[stop[done], k[done]]
-            live = ~done
-            cols, term, total, j = cols[live], t[-1, live], s[-2, live], j + n - 1
-    return out
-
-
-def log_tails(alphas, m: int) -> np.ndarray:
-    """log(1/(1-|a|^2)) minus its first m Taylor terms, for every entry a.
-
-    Each entry equals sum_{j>m} |a|^{2j}/j.  Small |a| would lose the tail to
-    cancellation in the direct formula, so below x = |a|^2 = 1/2 the tail
-    series is summed directly, per entry until its next term falls below
-    1e-18 of the sum (_series_tails); above, the closed form is accurate.
-    Always >= |a|^{2m+2}/(m+1).
+    run on all those entries at once: they share j, and an entry that stops
+    writes its total to its own index and leaves the arrays of the live ones.
+    Above 1/2 the closed form is accurate.  Always >= |a|^{2m+2}/(m+1).
 
     Every entry is the same float as the one-entry scalar formula: x is
     np.float_power(np.hypot(re, im), 2.0), which calls the libm hypot and pow
@@ -150,10 +93,20 @@ def log_tails(alphas, m: int) -> np.ndarray:
         raise ValueError(f"|alpha| = {abs(complex(alphas[over[0]]))} is not < 1")
     out = np.zeros(len(x))
 
-    # ascending, so each block's step table is as short as its entries allow
-    small = np.flatnonzero((x > 0.0) & (x <= 0.5))
-    small = small[np.argsort(x[small])]
-    out[small] = _series_tails(x[small], m)
+    idx = np.flatnonzero((x > 0.0) & (x <= 0.5))
+    xs = x[idx]
+    term = np.float_power(xs, m + 1.0)
+    total = np.zeros(len(idx))
+    j = m + 1
+    while idx.size:
+        total += term / j
+        term *= xs
+        j += 1
+        done = term / j <= 1e-18 * total
+        if done.any():
+            out[idx[done]] = total[done]
+            live = ~done
+            idx, xs, term, total = idx[live], xs[live], term[live], total[live]
 
     large = x > 0.5
     xl = x[large]

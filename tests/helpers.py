@@ -12,8 +12,42 @@ import numpy as np
 from opuckit.measures import hm_closed_form
 from opuckit.psd_quartic import GramBlock, gram_closed_form, multi_indices, multinomial
 from opuckit.rationals import GaussianRational
-from opuckit.sequences import VerblunskySequence, entry
+from opuckit.sequences import VerblunskySequence
 from opuckit.shift_algebra import NormalFormMonomial, ShiftPolynomial
+
+
+def entry(seq, n: int):
+    """Index into a sequence-like object with the zero extension convention.
+
+    Accepts a VerblunskySequence or any plain sequence (list, tuple, numpy
+    array); entries may be complex floats or exact scalars.  Out-of-range
+    and negative indices give 0.
+    """
+    values = seq.values if isinstance(seq, VerblunskySequence) else seq
+    if 0 <= n < len(values):
+        return values[n]
+    return 0
+
+
+def forward_difference(seq, m: int, n: int):
+    """m-th forward difference at index n via the binomial expansion.
+
+    Computed directly as sum_j (-1)^(m-j) C(m, j) * a_{n+j}, which keeps the
+    cost O(m) per index and avoids drift from repeated subtraction.  Works on
+    float and exact entries alike.  The oracle of the difference tables in
+    sequences.difference_array and shift_algebra.
+    """
+    if m < 0:
+        raise ValueError("difference order must be >= 0")
+    if m == 0:
+        return entry(seq, n)
+    total = 0
+    for j in range(m + 1):
+        c = math.comb(m, j)
+        if (m - j) % 2:
+            c = -c
+        total = total + c * entry(seq, n + j)
+    return total
 
 
 def random_float_sequence(rng: random.Random, length: int, cap: float = 0.9) -> VerblunskySequence:

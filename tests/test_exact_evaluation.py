@@ -31,9 +31,11 @@ from opuckit.normal_form import (
     pointwise_equality_check,
 )
 from opuckit.rationals import GR_ZERO, GaussianRational
-from opuckit.sequences import VerblunskySequence, entry, forward_difference
+from opuckit.sequences import VerblunskySequence
 from opuckit.shift_algebra import ShiftPolynomial, coefficient_map, ideal_power_decompose
 from opuckit.suites import random_ideal_member
+
+from helpers import entry, forward_difference
 
 FIXED = settings.get_profile("fixed")
 

@@ -1,5 +1,6 @@
-"""Every module-level import of the package is read by its module, and
-every public top-level function and class is read by something.
+"""Every module-level import of the package is read by its module, every
+public top-level function and class is read by something, and every private
+one by the package or the benchmark.
 
 No linter runs on the package, so an import or a definition stranded by a
 refactor would otherwise stay.  `__init__` is exempt: its imports are the
@@ -24,7 +25,6 @@ TEST_ONLY = {
     "leibniz_expand": "test_normal_form.py",
     "summation_by_parts": "test_normal_form.py",
     "telescope_sum": "test_normal_form.py",
-    "forward_difference": "test_sequences.py",
 }
 
 
@@ -63,8 +63,10 @@ def _read_names(node) -> set:
     return names
 
 
-def unread_definitions(package: dict, readers: dict, strings: str = "") -> list[str]:
-    """Public top-level definitions of `package` that nothing reads.
+def unread_definitions(
+    package: dict, readers: dict, strings: str = "", private: bool = False
+) -> list[str]:
+    """Top-level definitions of `package` that nothing reads, the public ones or the private.
 
     package and readers map a file label to its source; a package module
     reads too, but a definition's reads of its own name do not count.  Each
@@ -87,20 +89,29 @@ def unread_definitions(package: dict, readers: dict, strings: str = "") -> list[
     unread = []
     for label, source in package.items():
         for stmt in ast.parse(source).body:
-            if isinstance(stmt, DEFINITIONS) and not stmt.name.startswith("_"):
+            if isinstance(stmt, DEFINITIONS) and stmt.name.startswith("_") == private:
                 if not read.get(stmt.name, set()) - {(label, stmt.name)} and stmt.name not in named:
                     unread.append(stmt.name)
     return unread
 
 
-def test_every_public_definition_is_read():
-    unread = unread_definitions(
+def _unread_in_the_package(private: bool) -> list[str]:
+    return unread_definitions(
         {p.name: p.read_text() for p in MODULES},
         {p.name: p.read_text() for p in BENCH},
         (ROOT / "perfbench" / "tracing.py").read_text(),
+        private,
     )
+
+
+def test_every_public_definition_is_read():
     # fails as well when a listed name is gone or has gained a reader
-    assert sorted(unread) == sorted(TEST_ONLY)
+    assert sorted(_unread_in_the_package(private=False)) == sorted(TEST_ONLY)
+
+
+def test_every_private_definition_is_read():
+    # a private helper has no caller outside the package and the benchmark
+    assert _unread_in_the_package(private=True) == []
 
 
 @pytest.mark.parametrize("name, test", sorted(TEST_ONLY.items()))
@@ -119,3 +130,12 @@ def test_detects_an_unread_definition():
     package["a.py"] += "\n\nclass Traced:\n    pass\n"
     assert unread_definitions(package, {}) == ["planted", "Traced"]
     assert unread_definitions(package, {"run.py": "planted\n"}, traced) == []
+
+
+def test_detects_an_unread_private_definition():
+    package = {
+        "a.py": "def _used():\n    return 1\n\n\ndef _planted():\n    return _planted()\n"
+        "\n\nclass _Stranded:\n    pass\n\n\ndef public():\n    return _used()\n",
+    }
+    assert unread_definitions(package, {}, private=True) == ["_planted", "_Stranded"]
+    assert unread_definitions(package, {"run.py": "a._planted\n"}, private=True) == ["_Stranded"]

@@ -153,6 +153,12 @@ class TestFunctional:
             val = szego_functional(MeasureSpec.bernstein_szego([]), m, 256)
             assert abs(val) <= 1e-15
 
+    @pytest.mark.parametrize("grid", [0, 1, -3])
+    def test_bernstein_szego_grid_below_16_is_refused(self, grid):
+        # the weight's floor: 0 gave nan and a RuntimeWarning, 1 a silent 0.0
+        with pytest.raises(ValueError, match="^grid_size must be at least 16$"):
+            szego_functional(MeasureSpec.bernstein_szego([0.5]), 1, grid)
+
     def test_classical_szego_value(self):
         val = szego_functional(MeasureSpec.bernstein_szego([0.5]), 0, 4096)
         assert val == pytest.approx(-math.log(0.75), abs=1e-8)

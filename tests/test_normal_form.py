@@ -17,11 +17,11 @@ from opuckit.normal_form import (
     telescope_sum,
 )
 from opuckit.rationals import GaussianRational
-from opuckit.sequences import VerblunskySequence, forward_difference
+from opuckit.sequences import VerblunskySequence
 from opuckit.shift_algebra import ShiftPolynomial, ideal_power_decompose
 from opuckit.suites import random_exact_sequence, random_ideal_member
 
-from helpers import monomial_json, random_float_sequence
+from helpers import forward_difference, monomial_json, random_float_sequence
 
 
 def x(k, i):

@@ -9,14 +9,12 @@ from opuckit.sequences import (
     ModulusError,
     VerblunskySequence,
     difference_array,
-    entry,
-    forward_difference,
     lp_norm,
     lukic_partial_sums,
     zero_extended,
 )
 
-from helpers import lp_norm_loop
+from helpers import entry, forward_difference, lp_norm_loop
 
 
 def brute_force_difference(values, m, n):

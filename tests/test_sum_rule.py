@@ -1,7 +1,6 @@
 import math
 import random
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,10 +21,9 @@ from opuckit.sum_rule import (
     quadratic_form,
     _quadratic_form_complex,
 )
-from opuckit import sum_rule
 from opuckit.shift_algebra import ShiftPolynomial
 
-from helpers import hm_ring_coeffs, random_float_sequence, schur_series_loop
+from helpers import forward_difference, hm_ring_coeffs, random_float_sequence, schur_series_loop
 
 FIXED = settings.get_profile("fixed")
 
@@ -98,8 +96,6 @@ class TestQuadraticForm:
         seq = random_float_sequence(rng, N + 1)
         qf = quadratic_form(seq, m, N)
         de = lukic_partial_sums(seq, m, N).diff_energy / 2**m
-        from opuckit.sequences import forward_difference
-
         edge = sum(
             abs(forward_difference(seq, m, n)) ** 2 for n in range(-m, 0)
         ) / 2.0**m
@@ -220,11 +216,6 @@ class TestLogTails:
 
     SQRT_HALF = math.sqrt(0.5)
 
-    # block 1 and 7 put the loop's stop in many separate tables; two rows per
-    # table make every entry go on from table to table
-    @pytest.mark.parametrize(
-        "block, steps", [(1, None), (7, None), (7, 2), (sum_rule._TAIL_BLOCK, None)]
-    )
     @settings(FIXED, max_examples=60)
     @given(
         entries=st.lists(
@@ -244,14 +235,10 @@ class TestLogTails:
         ),
         m=st.integers(1, 12),
     )
-    def test_equals_the_loop_bit_for_bit(self, block, steps, entries, m):
+    def test_equals_the_loop_bit_for_bit(self, entries, m):
         alphas = [r * complex(math.cos(t), math.sin(t)) for r, t in entries]
         alphas = [a for a in alphas if abs(a) < 1.0]
-        rows = (lambda x_max: steps) if steps else sum_rule._tail_steps
-        with mock.patch.object(sum_rule, "_TAIL_BLOCK", block), mock.patch.object(
-            sum_rule, "_tail_steps", rows
-        ):
-            got = log_tails(alphas, m)
+        got = log_tails(alphas, m)
         assert [v.hex() for v in got.tolist()] == [log_tail_loop(a, m).hex() for a in alphas]
 
     @pytest.mark.parametrize(
