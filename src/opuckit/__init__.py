@@ -4,7 +4,7 @@ Szego sum-rule calculus on the unit circle.
 Layers, bottom up: Verblunsky sequences and the difference calculus
 (sequences), measure transforms and the weighted log functional (measures),
 exact shift-variable Laurent algebra with diagonal-ideal membership
-(shift_algebra), difference normal forms and telescoping bookkeeping
+(shift_algebra), difference normal forms and their pointwise check
 (normal_form), the computable sum-rule pieces (sum_rule), the quartic PSD
 Gram block (psd_quartic), interpolation exponent budgets (absorption), and
 the sweep CLI (cli).
@@ -26,24 +26,18 @@ from .absorption import (
 from .families import FamilySpec
 from .measures import (
     MeasureSpec,
-    MomentPositivityError,
     WeightPositivityError,
     bernstein_szego_weight,
     szego_functional,
     szego_functional_series,
     trig_moments,
-    verblunsky_from_moments,
 )
 from .normal_form import (
     MembershipError,
     NormalFormMonomial,
-    TelescopeTerm,
     evaluate,
     from_ideal_expansion,
-    leibniz_expand,
     pointwise_equality_check,
-    summation_by_parts,
-    telescope_sum,
 )
 from .psd_quartic import (
     GramBlock,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from . import absorption, measures, psd_quartic, sum_rule
-from .families import FamilySpec
+from .families import KINDS, FamilySpec
 from .normal_form import NormalFormMonomial
 from .sequences import complex_pairs
 from .suites import run_suites
@@ -39,7 +39,7 @@ GRAM_MAX_ORDER = {"certify": 28, "identity": 48, "export": 48}
 
 
 def _add_family_args(p: argparse.ArgumentParser):
-    p.add_argument("--family", choices=("power", "rotated", "random", "constant", "explicit"))
+    p.add_argument("--family", choices=KINDS)
     p.add_argument("--c", type=float, default=0.0, help="amplitude c (real)")
     p.add_argument("--c-imag", type=float, default=0.0, help="imaginary part of c")
     p.add_argument("--gamma", type=float, default=0.0, help="decay exponent")

@@ -44,14 +44,6 @@ class WeightPositivityError(ValueError):
     """A weight sample was nonpositive (log would be infinite)."""
 
 
-class MomentPositivityError(ValueError):
-    """Moment data lost positive definiteness during the Levinson recursion."""
-
-    def __init__(self, index: int, message: str):
-        super().__init__(message)
-        self.index = index
-
-
 @dataclass(frozen=True)
 class MeasureSpec:
     """Absolutely continuous circle measure, by prefix or by weight samples."""
@@ -213,47 +205,6 @@ def _cmv_moments(prefix: VerblunskySequence, kmax: int) -> np.ndarray:
         inner[k] = v[0]
     # + 0j keeps a real measure's imaginary parts at 0.0 rather than -0.0
     return inner.conj() + 0j
-
-
-def verblunsky_from_moments(moments) -> VerblunskySequence:
-    """Recover alpha_0..alpha_{K-1} from moments c_0..c_K by a Levinson-type recursion.
-
-    Maintains the monic orthogonal polynomial Phi_n and its reversal in
-    coefficient form; the next coefficient is conj(<z Phi_n, 1>) / ||Phi_n||^2.
-    Signals loss of positive definiteness (|alpha| >= 1 or nonpositive norm)
-    with the offending index.
-    """
-    c = np.asarray(moments, dtype=np.complex128)
-    if len(c) < 1:
-        raise ValueError("need at least c_0")
-    if abs(c[0] - 1.0) > 1e-3:
-        raise ValueError(f"c_0 = {c[0]} is not 1 (probability measure required)")
-    c = c / c[0]  # absorb quadrature error in the mass
-    K = len(c) - 1
-
-    phi = np.zeros(K + 1, dtype=np.complex128)
-    phi[0] = 1.0  # coefficients of Phi_n, ascending powers
-    e = 1.0  # ||Phi_n||^2
-    alphas = []
-    for n in range(K):
-        # <z Phi_n, 1> = sum_j phi_j conj(c_{j+1})
-        inner = complex(np.dot(phi[: n + 1], np.conjugate(c[1 : n + 2])))
-        if e <= 0.0:
-            raise MomentPositivityError(n, f"nonpositive norm {e} at step {n}")
-        alpha = (inner / e).conjugate()
-        if abs(alpha) >= 1.0:
-            raise MomentPositivityError(
-                n, f"|alpha_{n}| = {abs(alpha)} >= 1: moments not positive definite"
-            )
-        # Phi*_n coefficients are the conjugate reversal of Phi_n
-        phistar = np.conjugate(phi[: n + 1][::-1])
-        new_phi = np.zeros(K + 1, dtype=np.complex128)
-        new_phi[1 : n + 2] = phi[: n + 1]  # z * Phi_n
-        new_phi[: n + 1] -= alpha.conjugate() * phistar
-        phi = new_phi
-        e *= 1.0 - abs(alpha) ** 2
-        alphas.append(alpha)
-    return VerblunskySequence(tuple(alphas))
 
 
 def szego_functional(

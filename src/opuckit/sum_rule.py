@@ -13,7 +13,8 @@ is the summed logarithmic tail.  quadratic_form, the Fourier side of Q, and
 the trapezoid szego_functional stay as oracles only.  The residual
 deliberately conflates the remaining critical contributions and boundary
 terms; none of those is separately constructible at this scale, so reports
-label it an unresolved remainder and trend checks quantify its boundedness.
+label it an unresolved remainder.  It is not bounded in N: for m >= 2 it
+carries (h_{m,0} - 1) times the tail, which grows with N.
 """
 
 from __future__ import annotations
@@ -39,16 +40,6 @@ def hm_shift_symbol(m: int) -> ShiftPolynomial:
     return ShiftPolynomial(1, {(l + m, 0): hm_closed_form(m, l) for l in range(-m, m + 1)})
 
 
-def _quadratic_form_complex(seq, m: int, N: int) -> complex:
-    arr = zero_extended(seq, -m, N + m + 1)
-    center = arr[m : m + N + 1]
-    total = 0j
-    for ell in range(-m, m + 1):
-        seg = arr[m + ell : m + ell + N + 1]
-        total += float(hm_closed_form(m, ell)) * complex(np.vdot(center, seg))
-    return total
-
-
 def quadratic_form(seq, m: int, N: int) -> float:
     """sum_{n=0}^{N} sum_l h_{m,l} a_{n+l} conj(a_n), real part.
 
@@ -58,7 +49,13 @@ def quadratic_form(seq, m: int, N: int) -> float:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _quadratic_form_complex(seq, m, N).real
+    arr = zero_extended(seq, -m, N + m + 1)
+    center = arr[m : m + N + 1]
+    total = 0j
+    for ell in range(-m, m + 1):
+        seg = arr[m + ell : m + ell + N + 1]
+        total += float(hm_closed_form(m, ell)) * complex(np.vdot(center, seg))
+    return total.real
 
 
 def log_tails(alphas, m: int) -> np.ndarray:

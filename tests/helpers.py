@@ -12,7 +12,7 @@ import numpy as np
 from opuckit.measures import hm_closed_form
 from opuckit.psd_quartic import GramBlock, gram_closed_form, multi_indices, multinomial
 from opuckit.rationals import GaussianRational
-from opuckit.sequences import VerblunskySequence
+from opuckit.sequences import VerblunskySequence, zero_extended
 from opuckit.shift_algebra import NormalFormMonomial, ShiftPolynomial
 
 
@@ -130,6 +130,20 @@ def bumped_block(m: int) -> GramBlock:
     return GramBlock(m=m, entries=tuple(tuple(row) for row in rows))
 
 
+def quadratic_form_complex(seq, m: int, N: int) -> complex:
+    """sum_{n=0}^{N} sum_l h_{m,l} a_{n+l} conj(a_n), imaginary part kept.
+
+    The oracle of quadratic_form, whose float must be this sum's real part.
+    """
+    arr = zero_extended(seq, -m, N + m + 1)
+    center = arr[m : m + N + 1]
+    total = 0j
+    for ell in range(-m, m + 1):
+        seg = arr[m + ell : m + ell + N + 1]
+        total += float(hm_closed_form(m, ell)) * complex(np.vdot(center, seg))
+    return total
+
+
 def schur_series_loop(prefix, m_max: int, checkpoints) -> dict:
     """{(m, N): K_m} from the Schur recursion run as a scalar loop, one step per n.
 
@@ -184,6 +198,55 @@ def schur_series_loop(prefix, m_max: int, checkpoints) -> dict:
         record(nxt)
         nxt = next(pending, None)
     return out
+
+
+class MomentPositivityError(ValueError):
+    """Moment data lost positive definiteness during the Levinson recursion."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def verblunsky_from_moments(moments) -> VerblunskySequence:
+    """Recover alpha_0..alpha_{K-1} from moments c_0..c_K by a Levinson-type recursion.
+
+    Maintains the monic orthogonal polynomial Phi_n and its reversal in
+    coefficient form; the next coefficient is conj(<z Phi_n, 1>) / ||Phi_n||^2.
+    Signals loss of positive definiteness (|alpha| >= 1 or nonpositive norm)
+    with the offending index.
+    """
+    c = np.asarray(moments, dtype=np.complex128)
+    if len(c) < 1:
+        raise ValueError("need at least c_0")
+    if abs(c[0] - 1.0) > 1e-3:
+        raise ValueError(f"c_0 = {c[0]} is not 1 (probability measure required)")
+    c = c / c[0]  # absorb quadrature error in the mass
+    K = len(c) - 1
+
+    phi = np.zeros(K + 1, dtype=np.complex128)
+    phi[0] = 1.0  # coefficients of Phi_n, ascending powers
+    e = 1.0  # ||Phi_n||^2
+    alphas = []
+    for n in range(K):
+        # <z Phi_n, 1> = sum_j phi_j conj(c_{j+1})
+        inner = complex(np.dot(phi[: n + 1], np.conjugate(c[1 : n + 2])))
+        if e <= 0.0:
+            raise MomentPositivityError(n, f"nonpositive norm {e} at step {n}")
+        alpha = (inner / e).conjugate()
+        if abs(alpha) >= 1.0:
+            raise MomentPositivityError(
+                n, f"|alpha_{n}| = {abs(alpha)} >= 1: moments not positive definite"
+            )
+        # Phi*_n coefficients are the conjugate reversal of Phi_n
+        phistar = np.conjugate(phi[: n + 1][::-1])
+        new_phi = np.zeros(K + 1, dtype=np.complex128)
+        new_phi[1 : n + 2] = phi[: n + 1]  # z * Phi_n
+        new_phi[: n + 1] -= alpha.conjugate() * phistar
+        phi = new_phi
+        e *= 1.0 - abs(alpha) ** 2
+        alphas.append(alpha)
+    return VerblunskySequence(tuple(alphas))
 
 
 def classify_k_trend(values) -> str:

@@ -20,7 +20,7 @@ from opuckit.absorption import (
     young_subcriticality,
 )
 from opuckit.families import FamilySpec
-from opuckit.measures import MeasureSpec, trig_moments, verblunsky_from_moments
+from opuckit.measures import MeasureSpec, trig_moments
 from opuckit.normal_form import pointwise_equality_check
 from opuckit.psd_quartic import (
     gram_closed_form,
@@ -41,7 +41,7 @@ from opuckit.sum_rule import (
 )
 from opuckit.shift_algebra import ShiftPolynomial
 
-from helpers import classify_k_trend, gram_quadrature, hm_ring_coeffs
+from helpers import classify_k_trend, gram_quadrature, hm_ring_coeffs, verblunsky_from_moments
 from test_shift_algebra import laurent_divisible_by_power, random_x_polynomial
 
 

@@ -1,6 +1,7 @@
-"""Every module-level import of the package is read by its module, every
-public top-level function and class is read by something, and every private
-one by the package or the benchmark.
+"""Every module-level import of the package is read by its module, and every
+top-level function and class, public or private, by the package or the
+benchmark.  A definition that only the tests read is a test oracle and lives
+in tests/helpers.py.
 
 No linter runs on the package, so an import or a definition stranded by a
 refactor would otherwise stay.  `__init__` is exempt: its imports are the
@@ -17,16 +18,6 @@ PACKAGE = ROOT / "src" / "opuckit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
-
-# Public definitions that no command, check or benchmark reads, each with the
-# test module that reads it: a library capability or a test oracle.
-TEST_ONLY = {
-    "verblunsky_from_moments": "test_measures.py",
-    "leibniz_expand": "test_normal_form.py",
-    "summation_by_parts": "test_normal_form.py",
-    "telescope_sum": "test_normal_form.py",
-}
-
 
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
@@ -105,18 +96,13 @@ def _unread_in_the_package(private: bool) -> list[str]:
 
 
 def test_every_public_definition_is_read():
-    # fails as well when a listed name is gone or has gained a reader
-    assert sorted(_unread_in_the_package(private=False)) == sorted(TEST_ONLY)
+    # a definition only the tests read belongs in tests/helpers.py
+    assert _unread_in_the_package(private=False) == []
 
 
 def test_every_private_definition_is_read():
     # a private helper has no caller outside the package and the benchmark
     assert _unread_in_the_package(private=True) == []
-
-
-@pytest.mark.parametrize("name, test", sorted(TEST_ONLY.items()))
-def test_test_only_names_are_read_by_their_test(name, test):
-    assert name in _read_names(ast.parse((ROOT / "tests" / test).read_text()))
 
 
 def test_detects_an_unread_definition():

@@ -8,7 +8,6 @@ from opuckit.families import FamilySpec
 from opuckit.measures import (
     MAX_SERIES_ORDER,
     MeasureSpec,
-    MomentPositivityError,
     WeightPositivityError,
     bernstein_szego_weight,
     szego_functional,
@@ -16,11 +15,10 @@ from opuckit.measures import (
     hm_closed_form,
     theta_grid,
     trig_moments,
-    verblunsky_from_moments,
 )
 from opuckit.sequences import VerblunskySequence
 
-from helpers import szego_recursion_polynomials
+from helpers import MomentPositivityError, szego_recursion_polynomials, verblunsky_from_moments
 
 
 class TestRecursion:

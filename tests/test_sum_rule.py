@@ -19,11 +19,16 @@ from opuckit.sum_rule import (
     log_tail,
     log_tails,
     quadratic_form,
-    _quadratic_form_complex,
 )
 from opuckit.shift_algebra import ShiftPolynomial
 
-from helpers import forward_difference, hm_ring_coeffs, random_float_sequence, schur_series_loop
+from helpers import (
+    forward_difference,
+    hm_ring_coeffs,
+    quadratic_form_complex,
+    random_float_sequence,
+    schur_series_loop,
+)
 
 FIXED = settings.get_profile("fixed")
 
@@ -115,8 +120,9 @@ class TestQuadraticForm:
         rng = random.Random(303)
         for _ in range(10):
             seq = random_float_sequence(rng, 25)
-            val = _quadratic_form_complex(seq, 2, len(seq.values) - 1)
+            val = quadratic_form_complex(seq, 2, len(seq.values) - 1)
             assert abs(val.imag) <= 1e-12
+            assert quadratic_form(seq, 2, len(seq.values) - 1) == val.real
 
 
 class TestLogTail:
