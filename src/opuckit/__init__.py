@@ -63,7 +63,6 @@ from .shift_algebra import (
     ShiftPolynomial,
     coefficient_map,
     diag_eval,
-    euler_moment,
     ideal_power_decompose,
     vanishing_order,
 )

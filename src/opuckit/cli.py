@@ -70,8 +70,11 @@ def _family_from_args(args) -> FamilySpec:
     return FamilySpec(kind=args.family, **kw)
 
 
-def _parse_int_list(text: str) -> tuple:
-    return tuple(int(x) for x in text.split(","))
+def _parse_int_list(text: str, flag: str) -> tuple:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
 def _emit(text: str, out: str | None):
@@ -94,7 +97,7 @@ def cmd_generate(args) -> int:
 
 def cmd_sumrule(args) -> int:
     family = _family_from_args(args)
-    m_list, n_list = _parse_int_list(args.m), _parse_int_list(args.n_list)
+    m_list, n_list = _parse_int_list(args.m, "--m"), _parse_int_list(args.n_list, "--n-list")
     # one sequence for every N: each row describes a prefix of it
     seq = family.generate(max(n_list))
     reports = sum_rule.decomposition_sweep(seq, m_list, n_list)
@@ -147,7 +150,7 @@ def cmd_gram(args) -> int:
 
 def cmd_absorb(args) -> int:
     family = _family_from_args(args)
-    n_list = _parse_int_list(args.n_list)
+    n_list = _parse_int_list(args.n_list, "--n-list")
     m = int(args.m)
     for N in n_list:
         if N < 0:

@@ -8,9 +8,10 @@ ideal membership and moment cancellation are exact statements; floats enter
 only when the coefficient map evaluates on a float sequence.
 
 The diagonal ideal is generated by x_nu - 1 and y_mu - 1.  Membership of P
-in its q-th power is equivalent to the vanishing of every Euler moment of
-total order below q, and is decided here by a deterministic divided
-difference expansion around the all-ones point: negative exponents are
+in its q-th power is equivalent to the vanishing of every Euler moment
+sum_c c * prod i^a * prod j^b (0^0 = 1) of total order sum(a) + sum(b)
+below q, and is decided here by a deterministic divided difference
+expansion around the all-ones point: negative exponents are
 cleared per variable (the clearing monomial is a unit, so it cannot change
 the vanishing order), the cleared polynomial is split variable by variable
 as C = C|_{v=1} + (v-1) D, and splitting stops once a branch has collected
@@ -28,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -181,52 +181,18 @@ def diag_eval(P: ShiftPolynomial) -> GaussianRational:
     return total
 
 
-def euler_moment(P: ShiftPolynomial, exps: tuple) -> GaussianRational:
-    """Weighted coefficient sum sum_c c * prod i^a * prod j^b, with 0^0 = 1.
-
-    Equals the Euler derivative jet of P at the diagonal for the exponents
-    (a_1..a_k, b_1..b_k).
-    """
-    exps = tuple(int(e) for e in exps)
-    if len(exps) != 2 * P.k:
-        raise ValueError("moment query length does not match 2k")
-    if any(e < 0 for e in exps):
-        raise ValueError("moment exponents must be nonnegative")
-    total = GR_ZERO
-    for e, c in P.terms.items():
-        weight = 1
-        for idx, a in zip(e, exps):
-            if a:
-                weight *= idx**a
-        if weight:
-            total = total + c * weight
-    return total
-
-
-def _compositions(total: int, slots: int) -> Iterator[tuple]:
-    """All nonnegative integer tuples of the given length summing to total, lex ascending."""
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
-
-
 def vanishing_order(P: ShiftPolynomial, cap: int) -> int:
     """Largest q <= cap with all Euler moments of total order < q equal to zero.
 
-    Returns cap when every tested moment vanishes (Laurent units have
-    infinite formal order, so an explicit cap is part of the contract), and
-    0 when P(1,...,1) != 0.
+    Returns cap when P lies in the cap-th ideal power (zero has infinite
+    order, so an explicit cap is part of the contract), and otherwise the
+    order of the witness of ideal_power_decompose, the lowest order of a
+    nonzero moment; 0 when P(1,...,1) != 0.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    for order in range(cap):
-        for exps in _compositions(order, 2 * P.k):
-            if not euler_moment(P, exps).is_zero():
-                return order
-    return cap
+    d = ideal_power_decompose(P, cap)
+    return cap if d.member else sum(d.witness)
 
 
 @dataclass(frozen=True)

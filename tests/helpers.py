@@ -1,4 +1,4 @@
-"""Random constructions and float oracles shared by the test modules and used by no command."""
+"""Random constructions and oracles shared by the test modules and used by no command."""
 
 from __future__ import annotations
 
@@ -6,12 +6,13 @@ import json
 import math
 import random
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
 from opuckit.measures import hm_closed_form
 from opuckit.psd_quartic import GramBlock, gram_closed_form, multi_indices, multinomial
-from opuckit.rationals import GaussianRational
+from opuckit.rationals import GR_ZERO, GaussianRational
 from opuckit.sequences import VerblunskySequence, zero_extended
 from opuckit.shift_algebra import NormalFormMonomial, ShiftPolynomial
 
@@ -48,6 +49,55 @@ def forward_difference(seq, m: int, n: int):
             c = -c
         total = total + c * entry(seq, n + j)
     return total
+
+
+def euler_moment(P: ShiftPolynomial, exps: tuple) -> GaussianRational:
+    """Weighted coefficient sum sum_c c * prod i^a * prod j^b, with 0^0 = 1.
+
+    Equals the Euler derivative jet of P at the diagonal for the exponents
+    (a_1..a_k, b_1..b_k).
+    """
+    exps = tuple(int(e) for e in exps)
+    if len(exps) != 2 * P.k:
+        raise ValueError("moment query length does not match 2k")
+    if any(e < 0 for e in exps):
+        raise ValueError("moment exponents must be nonnegative")
+    total = GR_ZERO
+    for e, c in P.terms.items():
+        weight = 1
+        for idx, a in zip(e, exps):
+            if a:
+                weight *= idx**a
+        if weight:
+            total = total + c * weight
+    return total
+
+
+def compositions(total: int, slots: int) -> Iterator[tuple]:
+    """All nonnegative integer tuples of the given length summing to total, lex ascending."""
+    if slots == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, slots - 1):
+            yield (first,) + rest
+
+
+def moment_vanishing_order(P: ShiftPolynomial, cap: int) -> int:
+    """Largest q <= cap with all Euler moments of total order < q equal to zero.
+
+    Enumerates every moment order by order, so it is the oracle of
+    shift_algebra.vanishing_order, which reads the order off the witness of
+    ideal_power_decompose.  Returns cap when every tested moment vanishes
+    and 0 when P(1,...,1) != 0.
+    """
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
+    for order in range(cap):
+        for exps in compositions(order, 2 * P.k):
+            if not euler_moment(P, exps).is_zero():
+                return order
+    return cap
 
 
 def random_float_sequence(rng: random.Random, length: int, cap: float = 0.9) -> VerblunskySequence:

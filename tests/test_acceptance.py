@@ -30,7 +30,7 @@ from opuckit.psd_quartic import (
     raw_m2_failure_exhibit,
 )
 from opuckit.sequences import VerblunskySequence, lukic_partial_sums
-from opuckit.shift_algebra import euler_moment, vanishing_order
+from opuckit.shift_algebra import vanishing_order
 from opuckit.suites import random_exact_sequence, random_ideal_member
 from opuckit.sum_rule import (
     decomposition_report,
@@ -41,7 +41,13 @@ from opuckit.sum_rule import (
 )
 from opuckit.shift_algebra import ShiftPolynomial
 
-from helpers import classify_k_trend, gram_quadrature, hm_ring_coeffs, verblunsky_from_moments
+from helpers import (
+    classify_k_trend,
+    euler_moment,
+    gram_quadrature,
+    hm_ring_coeffs,
+    verblunsky_from_moments,
+)
 from test_shift_algebra import laurent_divisible_by_power, random_x_polynomial
 
 

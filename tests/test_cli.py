@@ -594,6 +594,23 @@ class TestBadInput:
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
     @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["sumrule", "report", "--family", "power", "--c", "0.5", "--m", "1,,2"],
+             "error: --m must be comma-separated integers, got '1,,2'"),
+            (["sumrule", "report", "--family", "power", "--c", "0.5", "--n-list", ""],
+             "error: --n-list must be comma-separated integers, got ''"),
+            (["absorb", "probe", "--family", "power", "--c", "0.5", "--m", "2", "--k", "2",
+              "--n-list", "1.5"],
+             "error: --n-list must be comma-separated integers, got '1.5'"),
+        ],
+        ids=["sumrule-m", "sumrule-n-list", "absorb-n-list"],
+    )
+    def test_a_bad_integer_list_names_its_flag(self, argv, line, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", line + "\n")
+
+    @pytest.mark.parametrize(
         "flag, content",
         [
             ("--values", [0.1, 0.2]),

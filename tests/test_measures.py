@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opuckit.families import FamilySpec
 from opuckit.measures import (
@@ -19,6 +21,15 @@ from opuckit.measures import (
 from opuckit.sequences import VerblunskySequence
 
 from helpers import MomentPositivityError, szego_recursion_polynomials, verblunsky_from_moments
+
+FIXED = settings.get_profile("fixed")
+
+# entries r e^{i theta} with r <= 1/2, the cap under which Levinson is well conditioned
+half_disc_entries = st.builds(
+    lambda r, theta: r * complex(math.cos(theta), math.sin(theta)),
+    st.floats(0.0, 0.5),
+    st.floats(0.0, 2 * math.pi),
+)
 
 
 class TestRecursion:
@@ -111,6 +122,19 @@ class TestMoments:
         mom = trig_moments(MeasureSpec.bernstein_szego(prefix), 4, 8192)
         rec = verblunsky_from_moments(mom)
         assert max(abs(a - b) for a, b in zip(prefix.values, rec.values)) <= 1e-7
+
+    @settings(FIXED, max_examples=150)
+    @given(prefix=st.lists(half_disc_entries, min_size=1, max_size=12))
+    @example(prefix=[0.5, -0.5] * 6)
+    def test_round_trip_where_levinson_is_well_conditioned(self, prefix):
+        # Levinson amplifies a moment's rounding by up to ((1+c)/(1-c))^L for
+        # L entries of modulus <= c, so the bound is 3^12 * 2^-52 = 1.2e-10 at
+        # c = 1/2, L = 12; the alternating prefix +-1/2 misses by 1.9e-12.  On
+        # random 12-entry prefixes at cap 0.9 the error reaches 3.1e-6, so the
+        # property stays at cap 1/2
+        mom = trig_moments(MeasureSpec.bernstein_szego(prefix), len(prefix))
+        rec = verblunsky_from_moments(mom)
+        assert max(abs(a - b) for a, b in zip(prefix, rec.values)) <= 1e-10
 
     def test_bernstein_szego_mass_is_exactly_one(self):
         for prefix in ([], [0.5], [0.3, -0.2j, 0.9 + 0.1j], (0.99,) * 400):

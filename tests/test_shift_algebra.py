@@ -12,10 +12,8 @@ from opuckit.shift_algebra import (
     IdealDecomposition,
     NormalFormMonomial,
     ShiftPolynomial,
-    _compositions,
     coefficient_map,
     diag_eval,
-    euler_moment,
     ideal_power_decompose,
     vanishing_order,
 )
@@ -27,7 +25,14 @@ from opuckit.suites import (
 )
 from opuckit.sum_rule import hm_shift_symbol
 
-from helpers import hm_ring_coeffs, monomial_json, random_float_sequence
+from helpers import (
+    compositions,
+    euler_moment,
+    hm_ring_coeffs,
+    moment_vanishing_order,
+    monomial_json,
+    random_float_sequence,
+)
 
 FIXED = settings.get_profile("fixed")
 
@@ -95,6 +100,32 @@ def laurent_divisible_by_power(poly: ShiftPolynomial, q: int) -> bool:
         if not remainder.is_zero():
             return False
     return True
+
+
+@st.composite
+def order_inputs(draw):
+    """(P, cap) with k <= 3 and cap <= 6.
+
+    P is an ideal member of order q <= 4, a sum of one to three Laurent
+    monomials, a unit monomial or zero, built from a drawn seed.
+    """
+    k = draw(st.integers(1, 3))
+    cap = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("member", "laurent", "unit", "zero")))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "member":
+        P = random_ideal_member(rng, k, draw(st.integers(0, 4)), pieces=draw(st.integers(1, 3)))
+    elif kind == "laurent":
+        P = ShiftPolynomial.zero(k)
+        for _ in range(draw(st.integers(1, 3))):
+            P = P + random_laurent_monomial(rng, k)
+    elif kind == "unit":
+        exps = tuple(rng.randint(-2, 2) for _ in range(2 * k))
+        coeff = GaussianRational(1 + rng.randint(0, 3), rng.randint(-3, 3))
+        P = ShiftPolynomial.monomial(k, exps, coeff)
+    else:
+        P = ShiftPolynomial.zero(k)
+    return P, cap
 
 
 class TestRing:
@@ -205,6 +236,12 @@ class TestVanishingOrder:
     def test_zero_polynomial_hits_cap(self):
         assert vanishing_order(ShiftPolynomial.zero(2), 5) == 5
 
+    @settings(FIXED, max_examples=200)
+    @given(inputs=order_inputs())
+    def test_equals_the_moment_enumeration(self, inputs):
+        P, cap = inputs
+        assert vanishing_order(P, cap) == moment_vanishing_order(P, cap)
+
 
 class TestIdealDecompose:
     def test_single_product_is_itself(self):
@@ -311,7 +348,7 @@ class TestIdealDecompose:
             else:
                 P = random_laurent_monomial(rng, k) + random_laurent_monomial(rng, k)
             dec = ideal_power_decompose(P, q)
-            assert dec.member == (vanishing_order(P, q) >= q)
+            assert dec.member == (moment_vanishing_order(P, q) >= q)
             if not dec.member:
                 assert not euler_moment(P, dec.witness).is_zero()
                 assert sum(dec.witness) < q
@@ -392,7 +429,7 @@ def oracle_ideal_power_decompose(P: ShiftPolynomial, q: int) -> IdealDecompositi
     split(tuple([0] * nslots), cleared, 0)
     if jets:
         t = min(sum(gen) for gen, _ in jets)
-        for exps in _compositions(t, nslots):
+        for exps in compositions(t, nslots):
             if not euler_moment(P, exps).is_zero():
                 return IdealDecomposition(k=k, order=q, member=False, witness=exps)
         raise AssertionError("nonzero jet without a nonzero moment at its order")
@@ -459,9 +496,9 @@ class TestIdealDecomposeProperties:
         P, q = inputs
         dec = ideal_power_decompose(P, q)
         if dec.member:
-            assert vanishing_order(P, q) == q
+            assert moment_vanishing_order(P, q) == q
         else:
-            assert sum(dec.witness) == vanishing_order(P, q)
+            assert sum(dec.witness) == moment_vanishing_order(P, q)
             assert not euler_moment(P, dec.witness).is_zero()
 
 

@@ -398,6 +398,33 @@ class TestDecompositionSweep:
         assert [(r.m, r.N) for r in rows] == [(1, 50), (1, 100), (3, 50), (3, 100)]
 
     @pytest.mark.parametrize(
+        "family",
+        [
+            FamilySpec(kind="power", c=0.9, gamma=0.1),
+            FamilySpec(kind="power", c=0.5 + 0.3j, gamma=0.6),
+            FamilySpec(kind="rotated", c=0.7, gamma=0.3, beta=1.0),
+            FamilySpec(kind="random", seed=3, modulus_cap=0.5),
+            FamilySpec(kind="random", seed=7, modulus_cap=0.95),
+            FamilySpec(kind="constant", c=0.5),
+            FamilySpec(kind="constant", c=-0.3 + 0.4j),
+            FamilySpec(kind="explicit", values=(0.6 - 0.2j, -0.4j, 0.3, 0.1 + 0.1j)),
+        ],
+        ids=lambda f: f.label(),
+    )
+    def test_m1_residual_is_the_boundary_constant(self, family):
+        # at m = 1 the residual is Re a_0 + |a_0|^2/2 at every N; the worst
+        # row of these families misses it by 7.3e-13 relative to |K_proxy|.
+        # The explicit prefix has 4 entries, so its later rows zero-extend
+        n_list = [0, 1, 10, 250, 1000, 10000]
+        seq = family.generate(3 if family.kind == "explicit" else n_list[-1])
+        a0 = seq.values[0]
+        boundary = a0.real + abs(a0) ** 2 / 2
+        rows = decomposition_sweep(seq, [1], n_list)
+        assert [r.N for r in rows] == n_list
+        for r in rows:
+            assert abs(r.residual - boundary) <= 1e-10 * max(1.0, abs(r.K_proxy))
+
+    @pytest.mark.parametrize(
         "seq",
         [
             FamilySpec(kind="power", c=0.9, gamma=0.1).generate(2000),

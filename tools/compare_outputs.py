@@ -1,0 +1,139 @@
+"""Run one fixed list of opuckit commands from two source trees and diff what they do.
+
+    python3 tools/compare_outputs.py OLD_ROOT NEW_ROOT
+
+Each command runs as `python -m opuckit.cli ARGV` with PYTHONPATH set to
+ROOT/src, in a fresh temporary directory, so its relative --out paths land
+there.  Both trees run a command in a directory of the same path, made
+anew for each, so a path a command prints is the same on both sides.  The
+exit code, stdout, stderr and every file written are compared byte for
+byte.  Each difference is printed; the exit code is 1 if there is any and
+0 if there is none.  A change meant to leave every output alone (a
+refactor, a speed-up) must report none.  The whole list takes about 15 s
+per tree on a 2-core Intel Xeon under CPython 3.11.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SWEEP_FAMILIES = (
+    ("--family", "power", "--c", "0.9", "--gamma", "0.1"),
+    ("--family", "power", "--c", "0.9", "--gamma", "0.5"),
+    ("--family", "rotated", "--c", "0.7", "--gamma", "0.3", "--beta", "1.0"),
+    ("--family", "random", "--seed", "3", "--cap", "0.5"),
+    ("--family", "random", "--seed", "4", "--cap", "0.5"),
+)
+
+PROBE_N = ("--n-list", "250,500,1000,2000")
+
+COMMANDS = (
+    # the sweep at each order on a 8192 grid, and the large sweep
+    *(
+        ["sumrule", "report", *family, "--m", m, "--n-list", "1000,1500,2000", "--grid", "8192",
+         "--out", "report.csv"]
+        for family in SWEEP_FAMILIES
+        for m in ("1", "2", "3")
+    ),
+    *(
+        ["sumrule", "report", *family, "--m", "1,2,3", "--n-list", "1000,10000,100000,200000",
+         "--out", "large.csv"]
+        for family in SWEEP_FAMILIES
+    ),
+    # absorption probes, the last --k one refused
+    ["absorb", "probe", "--family", "power", "--c", "0.8", "--gamma", "0.3", "--m", "2", "--k", "2",
+     *PROBE_N, "--out", "absorb.csv"],
+    ["absorb", "probe", "--family", "rotated", "--c", "0.7", "--gamma", "0.5", "--beta", "1.3",
+     "--m", "3", "--k", "3", *PROBE_N, "--out", "absorb.csv"],
+    ["absorb", "probe", "--family", "power", "--c", "0.6", "--gamma", "0.4", "--m", "3", "--k", "2",
+     *PROBE_N],
+    ["absorb", "probe", "--family", "power", "--c", "0.5", "--m", "3", "--k", "0"],
+    *(
+        ["absorb", "probe", "--family", "power", "--c", "0.8", "--gamma", "0.3", "--m", "3",
+         "--r", r, *PROBE_N, "--out", "ratio.csv"]
+        for r in ("1", "2")
+    ),
+    # measures, the grid-8 weight refused
+    *(
+        ["measure", "weight", "--family", "rotated", "--c", "0.3", "--gamma", "0.5", "--beta", "0.7",
+         "--n", "9", "--grid", grid, "--out", "weight.json"]
+        for grid in ("4096", "8")
+    ),
+    ["measure", "moments", "--family", "power", "--c", "0.9", "--gamma", "0.3", "--n", "2000",
+     "--grid", "4096", "--kmax", "12"],
+    ["measure", "moments", "--family", "random", "--seed", "5", "--cap", "0.3", "--n", "9",
+     "--kmax", "8"],
+    ["measure", "functional", "--family", "power", "--c", "0.5", "--gamma", "0.6", "--n", "200",
+     "--m", "2"],
+    # exact Gram arithmetic
+    ["gram", "certify", "--m-max", "12"],
+    ["gram", "identity", "--m-max", "8"],
+    *(["gram", "export", "--m", m, "--out", "gram.json"] for m in ("6", "9", "12")),
+    ["verify", "--suite", "all"],
+    # argparse output
+    ["--help"],
+    ["sumrule", "--help"],
+    ["sumrule", "report", "--family", "nonsense"],
+)
+
+
+def run(root: Path, argv: list, cwd: Path) -> tuple:
+    """(exit code, stdout, stderr, {relative path: bytes}) of one command run in cwd."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "opuckit.cli", *argv], cwd=cwd, env=env, capture_output=True
+    )
+    files = {
+        str(path.relative_to(cwd)): path.read_bytes()
+        for path in sorted(cwd.rglob("*"))
+        if path.is_file()
+    }
+    return done.returncode, done.stdout, done.stderr, files
+
+
+def differences(old: tuple, new: tuple) -> list[str]:
+    """Names of the parts of two run results that differ."""
+    diffs = [name for name, a, b in zip(("exit code", "stdout", "stderr"), old, new) if a != b]
+    old_files, new_files = old[3], new[3]
+    for path in sorted(old_files.keys() | new_files.keys()):
+        if old_files.get(path) != new_files.get(path):
+            diffs.append(f"file {path}")
+    return diffs
+
+
+def main(args: list) -> int:
+    if len(args) != 2:
+        print("usage: python3 tools/compare_outputs.py OLD_ROOT NEW_ROOT", file=sys.stderr)
+        return 2
+    old_root, new_root = (Path(a).resolve() for a in args)
+    for root in (old_root, new_root):
+        if not (root / "src" / "opuckit" / "cli.py").is_file():
+            print(f"{root} holds no src/opuckit/cli.py", file=sys.stderr)
+            return 2
+    differing = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "run"
+        for argv in COMMANDS:
+            results = []
+            for root in (old_root, new_root):
+                work.mkdir()
+                results.append(run(root, argv, work))
+                shutil.rmtree(work)
+            diffs = differences(*results)
+            line = " ".join(argv)
+            if diffs:
+                differing += 1
+                print(f"DIFFERS  {line}: {', '.join(diffs)}")
+            else:
+                print(f"same     {line} (exit {results[0][0]}, {len(results[0][3])} files)")
+    print(f"{len(COMMANDS)} commands, {differing} with a difference")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
