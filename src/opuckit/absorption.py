@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 from .sequences import VerblunskySequence, difference_array, lp_norm, lukic_partial_sums
 from .shift_algebra import NormalFormMonomial, _monomial_term, _table_sums
 
@@ -96,15 +98,14 @@ def _monomial_sums(monomial: NormalFormMonomial, seq, n_values: list) -> dict:
     """{N: |sum_{n=0}^{N} M_n|} for every N of n_values, from one table over [0, max N].
 
     The windows [0, N] are nested, so one running sum, read at N + 1 terms,
-    gives each value as the same float monomial_sum(N) gives on its own.
+    gives each value as the same float monomial_sum(N) gives on its own
+    (np.cumsum adds in index order; np.hypot is abs(complex)'s libm call).
     """
     term = _monomial_term(monomial.as_float())
     last = max(n_values, default=-1)
-    (values,), _ = _table_sums(monomial.k, seq, range(last + 1), [term])
-    totals = [0j]
-    for value in values:
-        totals.append(totals[-1] + complex(*value))
-    return {N: abs(totals[max(N + 1, 0)]) for N in n_values}
+    ((re, im),), _ = _table_sums(monomial.k, seq, range(last + 1), [term])
+    totals = np.hypot(np.cumsum(re), np.cumsum(im)).tolist()
+    return {N: totals[N] if N >= 0 else 0.0 for N in n_values}
 
 
 def _check_critical(monomial: NormalFormMonomial, m: int):

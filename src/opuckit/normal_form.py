@@ -56,8 +56,8 @@ def evaluate(monomial: NormalFormMonomial, seq, n: int):
     with the real-coefficient differences, so the antiholomorphic factors
     are conjugated after differencing.
     """
-    (values,), den = _table_sums(monomial.k, seq, (n,), [_monomial_term(monomial)])
-    return _scalar(values[0], den)
+    ((re, im),), den = _table_sums(monomial.k, seq, (n,), [_monomial_term(monomial)])
+    return _scalar((re[0], im[0]), den)
 
 
 def pointwise_equality_check(P: ShiftPolynomial, q: int, seq, window) -> float:
@@ -75,7 +75,7 @@ def pointwise_equality_check(P: ShiftPolynomial, q: int, seq, window) -> float:
         P.k, seq, window, _polynomial_terms(P), [_monomial_term(m) for m in monomials]
     )
     worst = 0.0
-    for (lre, lim), (rre, rim) in zip(lhs, rhs):
+    for lre, lim, rre, rim in zip(*lhs, *rhs):
         dev = (lre - rre, lim - rim)
         if dev != (0, 0):
             worst = max(worst, abs(complex(_scalar(dev, den))))

@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .rationals import GR_ZERO, GaussianRational
-from .sequences import VerblunskySequence
+from .sequences import VerblunskySequence, zero_extended
 
 
 class ShiftPolynomial:
@@ -324,8 +324,8 @@ def coefficient_map(P: ShiftPolynomial, seq, n: int):
     a float sequence, and over a sequence with GaussianRational or Fraction
     entries (ints may sit beside them) an exact GaussianRational.
     """
-    (values,), den = _table_sums(P.k, seq, (n,), _polynomial_terms(P))
-    return _scalar(values[0], den)
+    ((re, im),), den = _table_sums(P.k, seq, (n,), _polynomial_terms(P))
+    return _scalar((re[0], im[0]), den)
 
 
 @dataclass(frozen=True)
@@ -391,52 +391,56 @@ def _table_sums(k: int, seq, window, *groups):
 
     A term is (coeff, factors): a scalar and 2k (difference order a, shift
     s) pairs, the first k read as (Delta^a a)_{n+s} and the last k as their
-    conjugates.  Scaling is the only step that depends on the kind of
+    conjugates.  Only the scaling and the tabulation depend on the kind of
     scalar.  Over an exact sequence the entries read, zero-extended, are
     scaled to Gaussian integers over their common denominator D and the
     coefficients over theirs, L, so every term is an int-pair product
-    carrying the factor L * D^(2k), and that denominator is returned.  Over
-    a float sequence entries and coefficients stay (re, im) float pairs and
-    the denominator is None.  Delta^a is tabulated once per window for each
-    order a the terms read, in the binomial form sum_j (-1)^(a-j) C(a, j)
-    a_{n+j}, and each product runs coefficient first, then the factors in
-    order, as complex multiplication does, so a float sum is the same float
-    as the per-factor complex loop's (up to the sign of a zero).  Returns one
-    list of (re, im) sums per group, one pair per n, and the denominator.
+    carrying the factor L * D^(2k), the denominator returned; the tables
+    are lists of ints and `_term_sum` runs once per n.  Over a float
+    sequence the entries are one complex128 slice, the coefficients (re, im)
+    float pairs, the tables float64 arrays (see `_difference_rows`) and the
+    denominator None; `_term_sum` runs once, on every n at once, with the
+    float operations of a per-n loop in its order, so each float sum is the
+    per-factor complex loop's (up to the sign of a zero).  Returns one
+    (re, im) pair of sequences per group, indexed like window, and the
+    denominator.
     """
     exact = _is_exact_sequence(seq)
     window = list(window)
     factor_lists = [factors for terms in groups for _, factors in terms]
     if not window or not factor_lists:
-        return [[(0, 0)] * len(window) for _ in groups], 1 if exact else None
+        zeros = [0] * len(window)
+        return [(zeros, zeros) for _ in groups], 1 if exact else None
     orders = {a for factors in factor_lists for a, _ in factors}
     shifts = [s for factors in factor_lists for _, s in factors]
     base = min(window) + min(shifts)
-    stop = max(window) + max(shifts) + max(orders)
-    values = _zero_extended_list(seq, base, stop + 1)
+    stop = max(window) + max(shifts) + max(orders) + 1
     coeffs = [c for terms in groups for c, _ in terms]
     if exact:
-        parts = [_exact_parts(v) for v in values]
-        D = math.lcm(*(x.denominator for pair in parts for x in pair))
-        row = [_over(re, im, D) for re, im in parts]
+        parts = list(zip(*map(_exact_parts, _zero_extended_list(seq, base, stop))))
+        D = math.lcm(*(x.denominator for part in parts for x in part))
+        row = [[x.numerator * (D // x.denominator) for x in part] for part in parts]
         coeffs = [GaussianRational.coerce(c) for c in coeffs]
         L = math.lcm(*(x.denominator for c in coeffs for x in (c.re, c.im)))
         coeffs = [_over(c.re, c.im, L) for c in coeffs]
         den = L * D ** (2 * k)
     else:
-        # an exact entry after a float one: the exact path rejects the
-        # converse (a float after an exact entry) when it scales the entries.
-        # Types, not isinstance: Fraction's isinstance runs its ABC check,
-        # which made `absorb probe --k` 15% slower.
-        if not _EXACT_TYPES.isdisjoint(map(type, values)):
+        # numpy would read an exact entry as a complex; a VerblunskySequence or
+        # a numeric ndarray holds none.  Types, not isinstance: Fraction's
+        # isinstance runs its ABC check, which made `absorb probe --k` 15% slower.
+        plain = not (isinstance(seq, VerblunskySequence) or _is_numeric_array(seq))
+        if plain and not _EXACT_TYPES.isdisjoint(map(type, seq[max(base, 0) : max(stop, 0)])):
             raise TypeError("a float sequence has an exact entry")
-        row = [(z.real, z.imag) for z in map(complex, values)]
+        entries = zero_extended(seq, base, stop)
+        row = entries.real, entries.imag
         coeffs = [(z.real, z.imag) for z in map(complex, coeffs)]
         den = None
-    # holo[a][j - base] = Delta^a a_j (scaled) and anti[a] its conjugate
-    holo = {a: _difference_row(row, a) for a in orders}
+    # holo[a] = the (re, im) tables of Delta^a a_j (scaled) at j - base, and
+    # anti[a] those of its conjugate
+    re_rows, im_rows = (_difference_rows(part, orders) for part in row)
+    holo = {a: (re_rows[a], im_rows[a]) for a in orders}
     anti_orders = {a for factors in factor_lists for a, _ in factors[k:]}
-    anti = {a: [(re, -im) for re, im in holo[a]] for a in anti_orders}
+    anti = {a: (holo[a][0], _negated(holo[a][1])) for a in anti_orders}
     coeffs = iter(coeffs)
     sums = []
     for terms in groups:
@@ -445,47 +449,63 @@ def _table_sums(k: int, seq, window, *groups):
             reads = [(holo[a], s - base) for a, s in factors[:k]]
             reads += [(anti[a], s - base) for a, s in factors[k:]]
             scaled.append((*next(coeffs), reads))
-        group = []
-        for n in window:
-            tre = tim = 0
-            for re, im, reads in scaled:
-                for table, offset in reads:
-                    dre, dim = table[n + offset]
-                    re, im = re * dre - im * dim, re * dim + im * dre
-                tre += re
-                tim += im
-            group.append((tre, tim))
-        sums.append(group)
+        if exact:
+            sums.append(list(zip(*[_term_sum(n, scaled) for n in window])))
+        elif scaled:
+            sums.append(_term_sum(np.array(window), scaled))
+        else:
+            sums.append((np.zeros(len(window)),) * 2)
     return sums, den
 
 
-def _zero_extended_list(seq, start: int, stop: int) -> list:
-    """Entries start..stop-1 of seq as a list, int 0 outside the stored prefix.
+def _term_sum(n, terms) -> tuple:
+    """The (re, im) sum at n, an int or an index array, of terms (re, im, reads).
 
-    One slice of the prefix keeps its entries' types; a numeric ndarray's
-    slice converts with tolist, so the array is never iterated.
+    Each product runs coefficient first, then the factors read at n + offset
+    in order, with the complex product written out; terms add in order.
     """
-    values = seq.values if isinstance(seq, VerblunskySequence) else seq
-    lo, hi = max(start, 0), min(stop, len(values))
-    inner = values[lo:hi] if lo < hi else []
-    inner = inner.tolist() if isinstance(inner, np.ndarray) else list(inner)
+    tre = tim = 0
+    for re, im, reads in terms:
+        for (table_re, table_im), offset in reads:
+            i = n + offset
+            dre, dim = table_re[i], table_im[i]
+            re, im = re * dre - im * dim, re * dim + im * dre
+        tre += re
+        tim += im
+    return tre, tim
+
+
+def _zero_extended_list(seq, start: int, stop: int) -> list:
+    """Entries start..stop-1 of an exact sequence as a list, int 0 outside the stored prefix."""
+    lo, hi = max(start, 0), min(stop, len(seq))
+    inner = list(seq[lo:hi]) if lo < hi else []
     left = max(min(stop, 0) - start, 0)
     return [0] * left + inner + [0] * (stop - start - left - len(inner))
 
 
-def _difference_row(row: list, a: int) -> list:
-    """Delta^a of a row of (re, im) pairs in the binomial form.
+def _difference_rows(part, orders) -> dict:
+    """{a: Delta^a of part} for each order a; part is a float array or a list of ints.
 
-    Order 0 is the row itself; above it, sum_j (-1)^(a-j) C(a, j) row[i+j]
-    at each i, accumulated from 0 in ascending j.
+    An array takes the binomial form sum_j (-1)^(a-j) C(a, j) part[i+j] at
+    each i, accumulated from 0 in ascending j: the floats of a per-n loop.
+    Ints are exact in any order, so a list takes Delta^a = Delta Delta^(a-1).
     """
-    if a == 0:
-        return row
-    out = [(0, 0)] * (len(row) - a)
-    for j in range(a + 1):
-        w = (-1) ** (a - j) * math.comb(a, j)
-        out = [(re + w * xre, im + w * xim) for (re, im), (xre, xim) in zip(out, row[j:])]
-    return out
+    rows = {0: part}
+    if isinstance(part, np.ndarray):
+        for a in orders - {0}:
+            size = len(part) - a
+            rows[a] = np.zeros(size)
+            for j in range(a + 1):
+                rows[a] = rows[a] + (-1) ** (a - j) * math.comb(a, j) * part[j : j + size]
+        return rows
+    for a in range(1, max(orders) + 1):
+        rows[a] = [y - x for x, y in zip(rows[a - 1], rows[a - 1][1:])]
+    return rows
+
+
+def _negated(part):
+    """-part, for a list of ints or a float array."""
+    return -part if isinstance(part, np.ndarray) else [-v for v in part]
 
 
 def _over(re, im, den: int) -> tuple:
@@ -509,14 +529,17 @@ def _is_exact_sequence(seq) -> bool:
     A VerblunskySequence or an ndarray of numeric dtype is float without
     reading an entry; a sequence of ints only is float.
     """
-    if isinstance(seq, VerblunskySequence):
-        return False
-    if isinstance(seq, np.ndarray) and seq.dtype.kind in "biufc":
+    if isinstance(seq, VerblunskySequence) or _is_numeric_array(seq):
         return False
     for v in seq:
         if not isinstance(v, int):
             return isinstance(v, (GaussianRational, Fraction))
     return False
+
+
+def _is_numeric_array(seq) -> bool:
+    """Whether seq is an ndarray of numeric dtype, which holds no exact entry."""
+    return isinstance(seq, np.ndarray) and seq.dtype.kind in "biufc"
 
 
 def _exact_parts(v):

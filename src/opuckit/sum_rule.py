@@ -69,9 +69,12 @@ def log_tails(alphas, m: int) -> np.ndarray:
         repeat: total += term/j; term *= x; j += 1
         until term/j <= 1e-18 * total
 
-    run on all those entries at once: they share j, and an entry that stops
-    writes its total to its own index and leaves the arrays of the live ones.
-    Above 1/2 the closed form is accurate.  Always >= |a|^{2m+2}/(m+1).
+    run on all those entries at once: they share j, and an entry writes its
+    total to its own index once, on the step where it stops.  A stopped
+    entry stays in the arrays, masked out of the live ones, until fewer than
+    half of them are live; then the arrays keep the live entries alone.  Its
+    later steps change nothing that is written.  Above 1/2 the closed form
+    is accurate.  Always >= |a|^{2m+2}/(m+1).
 
     Every entry is the same float as the one-entry scalar formula: x is
     np.float_power(np.hypot(re, im), 2.0), which calls the libm hypot and pow
@@ -94,16 +97,19 @@ def log_tails(alphas, m: int) -> np.ndarray:
     xs = x[idx]
     term = np.float_power(xs, m + 1.0)
     total = np.zeros(len(idx))
+    live = np.ones(len(idx), dtype=bool)
     j = m + 1
     while idx.size:
         total += term / j
         term *= xs
         j += 1
-        done = term / j <= 1e-18 * total
-        if done.any():
-            out[idx[done]] = total[done]
-            live = ~done
-            idx, xs, term, total = idx[live], xs[live], term[live], total[live]
+        stops = live & (term / j <= 1e-18 * total)
+        if stops.any():
+            out[idx[stops]] = total[stops]
+            live &= ~stops
+            if 2 * np.count_nonzero(live) < live.size:
+                idx, xs, term, total = idx[live], xs[live], term[live], total[live]
+                live = live[live]
 
     large = x > 0.5
     xl = x[large]

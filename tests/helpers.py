@@ -350,3 +350,51 @@ def lp_norm_loop(values, p: float, N: int | None = None) -> float:
     for n in range(N + 1):
         total += abs(entry(values, n)) ** p
     return total ** (1.0 / p)
+
+
+def table_sums_loop(k: int, seq, window, *groups) -> list:
+    """The float sums of shift_algebra._table_sums, by a loop over n: one list of (re, im) per group.
+
+    Entries and coefficients are (re, im) float pairs made with complex();
+    Delta^a of each entry is accumulated from 0 in ascending j of the
+    binomial form, and at each n every term's product runs coefficient
+    first, then the factors in order, with the complex product written out,
+    and the terms are added in order from 0.  The oracle of the array
+    evaluator, which must give the same floats up to the sign of a zero.
+    """
+    window = list(window)
+    factor_lists = [factors for terms in groups for _, factors in terms]
+    if not window or not factor_lists:
+        return [[(0, 0)] * len(window) for _ in groups]
+    orders = {a for factors in factor_lists for a, _ in factors}
+    shifts = [s for factors in factor_lists for _, s in factors]
+    base = min(window) + min(shifts)
+    stop = max(window) + max(shifts) + max(orders)
+    row = [(z.real, z.imag) for z in (complex(entry(seq, j)) for j in range(base, stop + 1))]
+
+    def difference_row(a):
+        out = [(0, 0)] * (len(row) - a)
+        for j in range(a + 1):
+            w = (-1) ** (a - j) * math.comb(a, j)
+            out = [(re + w * xre, im + w * xim) for (re, im), (xre, xim) in zip(out, row[j:])]
+        return out
+
+    holo = {a: difference_row(a) if a else row for a in orders}
+    anti = {a: [(re, -im) for re, im in table] for a, table in holo.items()}
+    sums = []
+    for terms in groups:
+        group = []
+        for n in window:
+            tre = tim = 0
+            for coeff, factors in terms:
+                z = complex(coeff)
+                re, im = z.real, z.imag
+                reads = [(holo[a], s) for a, s in factors[:k]] + [(anti[a], s) for a, s in factors[k:]]
+                for table, s in reads:
+                    dre, dim = table[n + s - base]
+                    re, im = re * dre - im * dim, re * dim + im * dre
+                tre += re
+                tim += im
+            group.append((tre, tim))
+        sums.append(group)
+    return sums

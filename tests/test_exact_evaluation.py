@@ -32,10 +32,15 @@ from opuckit.normal_form import (
 )
 from opuckit.rationals import GR_ZERO, GaussianRational
 from opuckit.sequences import VerblunskySequence
-from opuckit.shift_algebra import ShiftPolynomial, coefficient_map, ideal_power_decompose
+from opuckit.shift_algebra import (
+    ShiftPolynomial,
+    _table_sums,
+    coefficient_map,
+    ideal_power_decompose,
+)
 from opuckit.suites import random_ideal_member
 
-from helpers import entry, forward_difference
+from helpers import entry, forward_difference, table_sums_loop
 
 FIXED = settings.get_profile("fixed")
 
@@ -244,6 +249,57 @@ class TestFloatOracleEquality:
         for n in range(N + 1):
             total += oracle_float_evaluate(mono.as_float(), seq, n)
         assert monomial_sum(mono, seq, N) == abs(total)
+
+
+# -- the array evaluator against the per-n loop --------------------------------
+
+
+@st.composite
+def array_cases(draw):
+    """k <= 3, two groups of 1-5 float terms, a float sequence and a window past it.
+
+    Difference orders are <= 3 and shifts in -3..3; the sequence is a tuple,
+    a list, a complex ndarray or a VerblunskySequence of up to 12 entries,
+    and the window starts below 0 and runs past the prefix.
+    """
+    k = draw(st.integers(1, 3))
+    factors = st.lists(
+        st.tuples(st.integers(0, 3), st.integers(-3, 3)), min_size=2 * k, max_size=2 * k
+    ).map(tuple)
+    terms = st.lists(
+        st.tuples(st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)), factors),
+        min_size=1,
+        max_size=5,
+    )
+    entries = st.lists(st.builds(complex, _parts, _parts), max_size=12)
+    seq = draw(st.one_of(_float_sequences(12), entries.map(tuple)))
+    start = draw(st.integers(-6, -1))
+    window = range(start, len(seq) + draw(st.integers(1, 6)))
+    return k, draw(terms), draw(terms), seq, window
+
+
+class TestArrayEvaluator:
+    @settings(FIXED, max_examples=150)
+    @given(case=array_cases())
+    def test_float_sums_equal_the_per_n_loop(self, case):
+        k, first, second, seq, window = case
+        sums, den = _table_sums(k, seq, window, first, second)
+        assert den is None
+        for (re, im), want in zip(sums, table_sums_loop(k, seq, window, first, second)):
+            # == holds zeros of either sign equal
+            assert list(zip(re.tolist(), im.tolist())) == want
+
+    @settings(FIXED, max_examples=60)
+    @given(case=array_cases())
+    def test_monomial_sum_is_the_running_sum_of_the_loop(self, case):
+        k, ((coeff, factors), *_), _, seq, window = case
+        N = max(window)
+        mono = NormalFormMonomial(k, factors[:k], factors[k:], coeff)
+        (values,) = table_sums_loop(k, seq, range(N + 1), [(coeff, factors)])
+        totals = [0j]
+        for value in values:
+            totals.append(totals[-1] + complex(*value))
+        assert repr(monomial_sum(mono, seq, N)) == repr(abs(totals[N + 1]))
 
 
 # -- corrupted expansions ----------------------------------------------------

@@ -1,12 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opuckit import sum_rule
 from opuckit.families import FamilySpec
 from opuckit.measures import MeasureSpec, szego_functional, szego_functional_series, theta_grid
 from opuckit.sequences import VerblunskySequence, lukic_partial_sums, zero_extended
@@ -203,6 +205,32 @@ def log_tail_loop(alpha, m):
     return -math.log1p(-x) - partial
 
 
+class _WriteLog(np.ndarray):
+    """An ndarray that records, in its `writes` list, every index an item assignment writes."""
+
+    def __setitem__(self, key, value):
+        self.writes.extend(np.arange(len(self))[key].tolist())
+        super().__setitem__(key, value)
+
+
+class _WriteLoggingNumpy:
+    """numpy for opuckit.sum_rule, but the first np.zeros, log_tails' output, logs its writes."""
+
+    def __init__(self):
+        self.writes = None
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, *args, **kwargs):
+        out = np.zeros(*args, **kwargs)
+        if self.writes is not None:
+            return out
+        out = out.view(_WriteLog)
+        out.writes = self.writes = []
+        return out
+
+
 class TestLogTails:
     def test_equals_the_loop_formula_entry_by_entry(self):
         rng = np.random.default_rng(305)
@@ -246,6 +274,40 @@ class TestLogTails:
         alphas = [a for a in alphas if abs(a) < 1.0]
         got = log_tails(alphas, m)
         assert [v.hex() for v in got.tolist()] == [log_tail_loop(a, m).hex() for a in alphas]
+
+    # No float modulus squares to exactly 1/2: nextafter(SQRT_HALF, 0) gives
+    # the largest x below it, on the loop's side, and SQRT_HALF the next float
+    # above it, on the closed form's.  Modulus 1/2 is x = 1/4 exactly.
+    @settings(FIXED, max_examples=60)
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from(
+                        [0.0, 0.5, SQRT_HALF, math.nextafter(SQRT_HALF, 0), 5e-324, 1e-160]
+                    ),
+                    # subnormal moduli, and moduli whose x or x**(m+1) goes subnormal
+                    st.floats(min_value=0.0, max_value=2.3e-308),
+                    st.floats(min_value=0.0, max_value=1e-150),
+                    st.floats(min_value=0.999, max_value=1.0, exclude_max=True),
+                    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                ),
+                st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2 * math.pi)),
+            ),
+            max_size=300,
+        ),
+        m=st.integers(1, 8),
+    )
+    def test_each_entry_is_written_once_with_the_loop_value(self, entries, m):
+        alphas = [r * complex(math.cos(t), math.sin(t)) for r, t in entries]
+        alphas = [a for a in alphas if abs(a) < 1.0]
+        log = _WriteLoggingNumpy()
+        with mock.patch.object(sum_rule, "np", log):
+            got = log_tails(alphas, m)
+        assert [v.hex() for v in got.tolist()] == [log_tail_loop(a, m).hex() for a in alphas]
+        # entries with x = |a|^2 = 0 keep the zero they start with, unwritten
+        assert len(log.writes) == len(set(log.writes))
+        assert set(log.writes) == {i for i, a in enumerate(alphas) if abs(a) ** 2 > 0}
 
     @pytest.mark.parametrize(
         "spec, m",

@@ -5,16 +5,20 @@
 Each command runs as `python -m opuckit.cli ARGV` with PYTHONPATH set to
 ROOT/src, in a fresh temporary directory, so its relative --out paths land
 there.  Both trees run a command in a directory of the same path, made
-anew for each, so a path a command prints is the same on both sides.  The
-exit code, stdout, stderr and every file written are compared byte for
-byte.  Each difference is printed; the exit code is 1 if there is any and
-0 if there is none.  A change meant to leave every output alone (a
-refactor, a speed-up) must report none.  The whole list takes about 15 s
-per tree on a 2-core Intel Xeon under CPython 3.11.
+anew for each and holding the input files of INPUTS (the `--values` file of
+the explicit family), so a path a command prints is the same on both sides.
+The exit code, stdout, stderr and every file in the directory afterwards
+are compared byte for byte.  Each difference is printed; the exit code is 1
+if there is any and 0 if there is none.  A change meant to leave every
+output alone (a refactor, a speed-up) must report none.  The whole list
+takes about 30 s for both trees together on a 2-core Intel Xeon under
+CPython 3.11.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import shutil
 import subprocess
@@ -31,6 +35,18 @@ SWEEP_FAMILIES = (
 )
 
 PROBE_N = ("--n-list", "250,500,1000,2000")
+
+# 120 entries of modulus 0.6 / (n+1)^0.2 turning by 1.3 radians a step, as
+# [re, im] pairs; the explicit family reads them into a tuple
+INPUTS = {
+    "values.json": json.dumps(
+        [
+            [0.6 * math.cos(1.3 * n) / (n + 1) ** 0.2, 0.6 * math.sin(1.3 * n) / (n + 1) ** 0.2]
+            for n in range(120)
+        ]
+    ),
+}
+EXPLICIT = ("--family", "explicit", "--values", "values.json")
 
 COMMANDS = (
     # the sweep at each order on a 8192 grid, and the large sweep
@@ -53,6 +69,14 @@ COMMANDS = (
     ["absorb", "probe", "--family", "power", "--c", "0.6", "--gamma", "0.4", "--m", "3", "--k", "2",
      *PROBE_N],
     ["absorb", "probe", "--family", "power", "--c", "0.5", "--m", "3", "--k", "0"],
+    # several difference orders in one monomial, and a window read from a tuple
+    *(
+        ["absorb", "probe", "--family", "random", "--seed", "5", "--cap", "0.9", "--m", "4",
+         "--k", k, *PROBE_N, "--out", "absorb.csv"]
+        for k in ("2", "4")
+    ),
+    ["absorb", "probe", *EXPLICIT, "--m", "3", "--k", "2", "--n-list", "10,50,100",
+     "--out", "absorb.csv"],
     *(
         ["absorb", "probe", "--family", "power", "--c", "0.8", "--gamma", "0.3", "--m", "3",
          "--r", r, *PROBE_N, "--out", "ratio.csv"]
@@ -84,6 +108,8 @@ COMMANDS = (
 
 def run(root: Path, argv: list, cwd: Path) -> tuple:
     """(exit code, stdout, stderr, {relative path: bytes}) of one command run in cwd."""
+    for name, text in INPUTS.items():
+        (cwd / name).write_text(text)
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run(
         [sys.executable, "-m", "opuckit.cli", *argv], cwd=cwd, env=env, capture_output=True
