@@ -74,5 +74,4 @@ from .sum_rule import (
     hm_shift_symbol,
     log_tail,
     log_tails,
-    quadratic_form,
 )

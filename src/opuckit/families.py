@@ -86,7 +86,7 @@ class FamilySpec:
                         f"explicit family has {len(self.values)} entries, need {N + 1}"
                     )
                 vals = np.asarray(self.values[: N + 1], dtype=np.complex128)
-        return VerblunskySequence(vals.tolist())
+        return VerblunskySequence(vals)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}

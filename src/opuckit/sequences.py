@@ -82,16 +82,29 @@ def zero_extended(seq, start: int, stop: int) -> np.ndarray:
     return out
 
 
+def difference_rows(part, orders) -> dict:
+    """{a: Delta^a of part} for each order a; part is a numpy array or a list of ints.
+
+    An array takes the binomial form sum_j (-1)^(a-j) C(a, j) part[i+j] at
+    each i, accumulated from 0 in ascending j: the floats of a per-n loop.
+    Ints are exact in any order, so a list takes Delta^a = Delta Delta^(a-1).
+    """
+    rows = {0: part}
+    if isinstance(part, np.ndarray):
+        for a in orders - {0}:
+            size = len(part) - a
+            rows[a] = np.zeros(size)
+            for j in range(a + 1):
+                rows[a] = rows[a] + (-1) ** (a - j) * math.comb(a, j) * part[j : j + size]
+        return rows
+    for a in range(1, max(orders) + 1):
+        rows[a] = [y - x for x, y in zip(rows[a - 1], rows[a - 1][1:])]
+    return rows
+
+
 def difference_array(seq, m: int, N: int) -> np.ndarray:
-    """Vector of Delta^m alpha_n for n = 0..N (binomial form, vectorized)."""
-    arr = zero_extended(seq, 0, N + m + 1)
-    out = np.zeros(N + 1, dtype=np.complex128)
-    for j in range(m + 1):
-        c = math.comb(m, j)
-        if (m - j) % 2:
-            c = -c
-        out += c * arr[j : j + N + 1]
-    return out
+    """Vector of Delta^m alpha_n for n = 0..N, the order-m row of difference_rows."""
+    return difference_rows(zero_extended(seq, 0, N + m + 1), {m})[m]
 
 
 def lukic_partial_sums(seq, m: int, N: int) -> EnergyReport:

@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .rationals import GR_ZERO, GaussianRational
-from .sequences import VerblunskySequence, zero_extended
+from .sequences import VerblunskySequence, difference_rows, zero_extended
 
 
 class ShiftPolynomial:
@@ -398,12 +398,12 @@ def _table_sums(k: int, seq, window, *groups):
     carrying the factor L * D^(2k), the denominator returned; the tables
     are lists of ints and `_term_sum` runs once per n.  Over a float
     sequence the entries are one complex128 slice, the coefficients (re, im)
-    float pairs, the tables float64 arrays (see `_difference_rows`) and the
-    denominator None; `_term_sum` runs once, on every n at once, with the
-    float operations of a per-n loop in its order, so each float sum is the
-    per-factor complex loop's (up to the sign of a zero).  Returns one
-    (re, im) pair of sequences per group, indexed like window, and the
-    denominator.
+    float pairs, the tables float64 arrays (see `sequences.difference_rows`)
+    and the denominator None; `_term_sum` runs once, on every n at once,
+    with the float operations of a per-n loop in its order, so each float
+    sum is the per-factor complex loop's (up to the sign of a zero).
+    Returns one (re, im) pair of sequences per group, indexed like window,
+    and the denominator.
     """
     exact = _is_exact_sequence(seq)
     window = list(window)
@@ -437,7 +437,7 @@ def _table_sums(k: int, seq, window, *groups):
         den = None
     # holo[a] = the (re, im) tables of Delta^a a_j (scaled) at j - base, and
     # anti[a] those of its conjugate
-    re_rows, im_rows = (_difference_rows(part, orders) for part in row)
+    re_rows, im_rows = (difference_rows(part, orders) for part in row)
     holo = {a: (re_rows[a], im_rows[a]) for a in orders}
     anti_orders = {a for factors in factor_lists for a, _ in factors[k:]}
     anti = {a: (holo[a][0], _negated(holo[a][1])) for a in anti_orders}
@@ -481,26 +481,6 @@ def _zero_extended_list(seq, start: int, stop: int) -> list:
     inner = list(seq[lo:hi]) if lo < hi else []
     left = max(min(stop, 0) - start, 0)
     return [0] * left + inner + [0] * (stop - start - left - len(inner))
-
-
-def _difference_rows(part, orders) -> dict:
-    """{a: Delta^a of part} for each order a; part is a float array or a list of ints.
-
-    An array takes the binomial form sum_j (-1)^(a-j) C(a, j) part[i+j] at
-    each i, accumulated from 0 in ascending j: the floats of a per-n loop.
-    Ints are exact in any order, so a list takes Delta^a = Delta Delta^(a-1).
-    """
-    rows = {0: part}
-    if isinstance(part, np.ndarray):
-        for a in orders - {0}:
-            size = len(part) - a
-            rows[a] = np.zeros(size)
-            for j in range(a + 1):
-                rows[a] = rows[a] + (-1) ** (a - j) * math.comb(a, j) * part[j : j + size]
-        return rows
-    for a in range(1, max(orders) + 1):
-        rows[a] = [y - x for x, y in zip(rows[a - 1], rows[a - 1][1:])]
-    return rows
 
 
 def _negated(part):

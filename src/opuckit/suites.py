@@ -21,7 +21,9 @@ import numpy as np
 from . import absorption, measures, normal_form, psd_quartic, sum_rule
 from .rationals import GaussianRational
 from .sequences import VerblunskySequence, lukic_partial_sums
-from .shift_algebra import ShiftPolynomial, diag_eval, ideal_power_decompose, vanishing_order
+from .shift_algebra import (
+    ShiftPolynomial, coefficient_map, diag_eval, ideal_power_decompose, vanishing_order
+)
 
 Check = tuple[str, Callable[[], tuple[bool, str]]]
 
@@ -182,7 +184,9 @@ def _sumrule_checks() -> list[Check]:
         for i in range(m, N - m + 1):
             vals[i] = 0.8 * (rng.random() - 0.5) + 0.8j * (rng.random() - 0.5)
         seq = VerblunskySequence(tuple(vals))
-        q1 = sum_rule.quadratic_form(seq, m, N)
+        # the Fourier side sum_l h_{m,l} a_{n+l} conj(a_n): the symbol with x^-m cleared
+        S = sum_rule.hm_shift_symbol(m) * ShiftPolynomial.monomial(1, (-m, 0))
+        q1 = sum(coefficient_map(S, seq, n) for n in range(N + 1)).real
         q2 = lukic_partial_sums(seq, m, N).diff_energy / 2**m
         return abs(q1 - q2) <= 1e-12, f"|fourier - difference energy| = {abs(q1 - q2):.2e}"
 

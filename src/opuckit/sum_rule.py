@@ -1,16 +1,17 @@
 """Explicitly computable pieces of the finite-volume decomposition.
 
 For the weight (1 - cos theta)^m these are: the exact Fourier coefficients
-of the weight symbol, the quadratic form they define on a sequence, the
-pointwise logarithmic tail, and the assembled per-(m, N) report
+of the weight symbol, the pointwise logarithmic tail, and the assembled
+per-(m, N) report
 
     residual = K_proxy - Q - tail,
 
 where K_proxy is the weighted log functional of the Bernstein-Szego
 truncation (szego_functional_series, exact up to rounding), Q is the
 difference energy 2^-m sum |Delta^m a_n|^2 from lukic_partial_sums and tail
-is the summed logarithmic tail.  quadratic_form, the Fourier side of Q, and
-the trapezoid szego_functional stay as oracles only.  The residual
+is the summed logarithmic tail.  The Fourier side of Q, sum_n sum_l
+h_{m,l} a_{n+l} conj(a_n), is the coefficient map of the weight symbol
+hm_shift_symbol(m) times x_1^-m, summed over n.  The residual
 deliberately conflates the remaining critical contributions and boundary
 terms; none of those is separately constructible at this scale, so reports
 label it an unresolved remainder.  It is not bounded in N: for m >= 2 it
@@ -38,24 +39,6 @@ def hm_shift_symbol(m: int) -> ShiftPolynomial:
     Laurent form's does, since the two differ only by the unit x_1^m.
     """
     return ShiftPolynomial(1, {(l + m, 0): hm_closed_form(m, l) for l in range(-m, m + 1)})
-
-
-def quadratic_form(seq, m: int, N: int) -> float:
-    """sum_{n=0}^{N} sum_l h_{m,l} a_{n+l} conj(a_n), real part.
-
-    When the window covers the support of the sequence this is the full-line
-    Hermitian form with symbol (1 - cos theta)^m, hence real and nonnegative;
-    the imaginary part is then at the rounding level.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    arr = zero_extended(seq, -m, N + m + 1)
-    center = arr[m : m + N + 1]
-    total = 0j
-    for ell in range(-m, m + 1):
-        seg = arr[m + ell : m + ell + N + 1]
-        total += float(hm_closed_form(m, ell)) * complex(np.vdot(center, seg))
-    return total.real
 
 
 def log_tails(alphas, m: int) -> np.ndarray:

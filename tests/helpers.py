@@ -9,12 +9,19 @@ from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
+from hypothesis import strategies as st
 
 from opuckit.measures import hm_closed_form
 from opuckit.psd_quartic import GramBlock, gram_closed_form, multi_indices, multinomial
 from opuckit.rationals import GR_ZERO, GaussianRational
 from opuckit.sequences import VerblunskySequence, zero_extended
-from opuckit.shift_algebra import NormalFormMonomial, ShiftPolynomial
+from opuckit.shift_algebra import (
+    NormalFormMonomial,
+    ShiftPolynomial,
+    _polynomial_terms,
+    _table_sums,
+)
+from opuckit.sum_rule import hm_shift_symbol
 
 
 def entry(seq, n: int):
@@ -35,8 +42,8 @@ def forward_difference(seq, m: int, n: int):
 
     Computed directly as sum_j (-1)^(m-j) C(m, j) * a_{n+j}, which keeps the
     cost O(m) per index and avoids drift from repeated subtraction.  Works on
-    float and exact entries alike.  The oracle of the difference tables in
-    sequences.difference_array and shift_algebra.
+    float and exact entries alike.  The oracle of sequences.difference_rows,
+    the one difference tabulator.
     """
     if m < 0:
         raise ValueError("difference order must be >= 0")
@@ -107,6 +114,19 @@ def random_float_sequence(rng: random.Random, length: int, cap: float = 0.9) -> 
         ang = 2.0 * math.pi * rng.random()
         vals.append(r * complex(math.cos(ang), math.sin(ang)))
     return VerblunskySequence(tuple(vals))
+
+
+@st.composite
+def polar_prefix(draw, max_len: int) -> list:
+    """Up to max_len complex entries of modulus <= 0.9.
+
+    The length is drawn first: lists drawn whole stay short, and a kernel
+    prefix must pass 32 entries to renormalise.
+    """
+    n = draw(st.integers(0, max_len))
+    polar = st.tuples(st.floats(0.0, 0.9), st.floats(0.0, 2 * math.pi))
+    entries = draw(st.lists(polar, min_size=n, max_size=n))
+    return [r * complex(math.cos(t), math.sin(t)) for r, t in entries]
 
 
 def hm_ring_coeffs(m: int) -> dict:
@@ -183,7 +203,8 @@ def bumped_block(m: int) -> GramBlock:
 def quadratic_form_complex(seq, m: int, N: int) -> complex:
     """sum_{n=0}^{N} sum_l h_{m,l} a_{n+l} conj(a_n), imaginary part kept.
 
-    The oracle of quadratic_form, whose float must be this sum's real part.
+    The oracle of symbol_quadratic_form, whose float must agree with this
+    sum's real part to rounding.
     """
     arr = zero_extended(seq, -m, N + m + 1)
     center = arr[m : m + N + 1]
@@ -192,6 +213,18 @@ def quadratic_form_complex(seq, m: int, N: int) -> complex:
         seg = arr[m + ell : m + ell + N + 1]
         total += float(hm_closed_form(m, ell)) * complex(np.vdot(center, seg))
     return total
+
+
+def symbol_quadratic_form(seq, m: int, N: int) -> float:
+    """The Fourier side sum_{n=0}^{N} sum_l h_{m,l} a_{n+l} conj(a_n) as `verify` evaluates it.
+
+    One _table_sums call over 0..N on the weight symbol with x^-m cleared;
+    the real parts add in index order, so the float is the real part of
+    verify's per-index sum of coefficient_map values.
+    """
+    S = hm_shift_symbol(m) * ShiftPolynomial.monomial(1, (-m, 0))
+    ((re, _),), _ = _table_sums(1, seq, range(N + 1), _polynomial_terms(S))
+    return sum(re.tolist())
 
 
 def schur_series_loop(prefix, m_max: int, checkpoints) -> dict:

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opuckit import _kernels
 from opuckit.measures import theta_grid
 from opuckit.sequences import VerblunskySequence
 
-from helpers import szego_recursion_polynomials
+from helpers import polar_prefix, szego_recursion_polynomials
+
+FIXED = settings.get_profile("fixed")
 
 
 def random_prefix(rng, n, cap=0.8):
@@ -40,6 +44,19 @@ def test_renormalised_prefix_matches_scalar_recursion(alphas):
         _, phistar = szego_recursion_polynomials(alphas.tolist(), complex(z[g]))
         want = math.log(abs(phistar))
         assert abs(float(grid[g]) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@settings(FIXED, max_examples=100)
+@given(entries=polar_prefix(128), grid=st.integers(16, 64))
+def test_any_prefix_matches_scalar_recursion(entries, grid):
+    # a prefix past RENORM_STRIDE entries takes the renormalisation branch
+    alphas = np.array(entries, dtype=complex)
+    z = np.exp(1j * theta_grid(grid))
+    got = _kernels.log_phistar_abs(alphas, z)
+    for g in range(grid):
+        _, phistar = szego_recursion_polynomials(alphas.tolist(), complex(z[g]))
+        want = math.log(abs(phistar))
+        assert abs(float(got[g]) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_empty_prefix():

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opuckit.sequences import (
     ModulusError,
@@ -14,7 +16,9 @@ from opuckit.sequences import (
     zero_extended,
 )
 
-from helpers import entry, forward_difference, lp_norm_loop
+from helpers import entry, forward_difference, lp_norm_loop, polar_prefix
+
+FIXED = settings.get_profile("fixed")
 
 
 def brute_force_difference(values, m, n):
@@ -172,6 +176,13 @@ class TestForwardDifference:
             arr = difference_array(seq, m, 15)
             for n in range(16):
                 assert arr[n] == pytest.approx(forward_difference(seq, m, n), abs=1e-13)
+
+    @settings(FIXED, max_examples=100)
+    @given(values=polar_prefix(40), m=st.integers(0, 8), N=st.integers(0, 50))
+    def test_difference_array_is_the_binomial_loop_bit_for_bit(self, values, m, N):
+        # difference_rows accumulates from 0 in ascending j, as the oracle does
+        arr = difference_array(values, m, N).tolist()
+        assert arr == [complex(forward_difference(values, m, n)) for n in range(N + 1)]
 
 
 class TestEnergies:

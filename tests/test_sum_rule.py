@@ -20,16 +20,17 @@ from opuckit.sum_rule import (
     hm_shift_symbol,
     log_tail,
     log_tails,
-    quadratic_form,
 )
 from opuckit.shift_algebra import ShiftPolynomial
 
 from helpers import (
     forward_difference,
     hm_ring_coeffs,
+    polar_prefix,
     quadratic_form_complex,
     random_float_sequence,
     schur_series_loop,
+    symbol_quadratic_form,
 )
 
 FIXED = settings.get_profile("fixed")
@@ -79,10 +80,18 @@ class TestHmSymbol:
             assert unit * laurent == hm_shift_symbol(m)
 
 
+@st.composite
+def quadratic_inputs(draw):
+    """(seq, m, N): m <= 6, up to 40 entries of modulus <= 0.9, N from 0 to past the prefix."""
+    m = draw(st.integers(1, 6))
+    seq = VerblunskySequence(tuple(draw(polar_prefix(40))))
+    return seq, m, draw(st.integers(0, len(seq) + 2 * m))
+
+
 class TestQuadraticForm:
     def test_zero_sequence(self):
         seq = VerblunskySequence((0j,) * 10)
-        assert quadratic_form(seq, 2, 9) == 0
+        assert symbol_quadratic_form(seq, 2, 9) == 0
 
     def test_interior_support_identity(self):
         rng = random.Random(300)
@@ -91,7 +100,7 @@ class TestQuadraticForm:
         for i in range(m, N - m + 1):
             vals[i] = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
         seq = VerblunskySequence(tuple(vals))
-        assert quadratic_form(seq, m, N) == pytest.approx(
+        assert symbol_quadratic_form(seq, m, N) == pytest.approx(
             lukic_partial_sums(seq, m, N).diff_energy / 2**m, abs=1e-12
         )
 
@@ -101,7 +110,7 @@ class TestQuadraticForm:
         rng = random.Random(301)
         m, N = 3, 500
         seq = random_float_sequence(rng, N + 1)
-        qf = quadratic_form(seq, m, N)
+        qf = symbol_quadratic_form(seq, m, N)
         de = lukic_partial_sums(seq, m, N).diff_energy / 2**m
         edge = sum(
             abs(forward_difference(seq, m, n)) ** 2 for n in range(-m, 0)
@@ -116,7 +125,7 @@ class TestQuadraticForm:
         for m in range(1, 7):
             for _ in range(200):
                 seq = random_float_sequence(rng, rng.randint(5, 40))
-                assert quadratic_form(seq, m, len(seq.values) - 1) >= -1e-10
+                assert symbol_quadratic_form(seq, m, len(seq.values) - 1) >= -1e-10
 
     def test_imaginary_part_small(self):
         rng = random.Random(303)
@@ -124,7 +133,14 @@ class TestQuadraticForm:
             seq = random_float_sequence(rng, 25)
             val = quadratic_form_complex(seq, 2, len(seq.values) - 1)
             assert abs(val.imag) <= 1e-12
-            assert quadratic_form(seq, 2, len(seq.values) - 1) == val.real
+
+    @settings(FIXED, max_examples=200)
+    @given(inputs=quadratic_inputs())
+    def test_symbol_side_matches_the_oracle(self, inputs):
+        # the table evaluator sums per term, the oracle per shift: equal to rounding
+        seq, m, N = inputs
+        want = quadratic_form_complex(seq, m, N).real
+        assert abs(symbol_quadratic_form(seq, m, N) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestLogTail:

@@ -5,13 +5,14 @@
 Each command runs as `python -m opuckit.cli ARGV` with PYTHONPATH set to
 ROOT/src, in a fresh temporary directory, so its relative --out paths land
 there.  Both trees run a command in a directory of the same path, made
-anew for each and holding the input files of INPUTS (the `--values` file of
-the explicit family), so a path a command prints is the same on both sides.
+anew for each and holding the input files of INPUTS (the `--values`,
+`--measure-json` and `--config` files), so a path a command prints is the
+same on both sides.
 The exit code, stdout, stderr and every file in the directory afterwards
 are compared byte for byte.  Each difference is printed; the exit code is 1
 if there is any and 0 if there is none.  A change meant to leave every
-output alone (a refactor, a speed-up) must report none.  The whole list
-takes about 30 s for both trees together on a 2-core Intel Xeon under
+output alone (a refactor, a speed-up) must report none.  The 58 commands
+take about 31 s for both trees together on a 2-core Intel Xeon under
 CPython 3.11.
 """
 
@@ -36,17 +37,32 @@ SWEEP_FAMILIES = (
 
 PROBE_N = ("--n-list", "250,500,1000,2000")
 
-# 120 entries of modulus 0.6 / (n+1)^0.2 turning by 1.3 radians a step, as
-# [re, im] pairs; the explicit family reads them into a tuple
+# values.json: 120 entries of modulus 0.6 / (n+1)^0.2 turning by 1.3 radians
+# a step, as [re, im] pairs, which the explicit family reads into a tuple.
+# The two measure files are read by --measure-json: 64 samples of the
+# positive weight 1 + cos(t)/2 + sin(2t)/4, and the first 40 of those
+# entries as a Bernstein-Szego prefix.  config.json holds a flat key and a
+# key scoped to sumrule.
+VALUES = [
+    [0.6 * math.cos(1.3 * n) / (n + 1) ** 0.2, 0.6 * math.sin(1.3 * n) / (n + 1) ** 0.2]
+    for n in range(120)
+]
 INPUTS = {
-    "values.json": json.dumps(
-        [
-            [0.6 * math.cos(1.3 * n) / (n + 1) ** 0.2, 0.6 * math.sin(1.3 * n) / (n + 1) ** 0.2]
-            for n in range(120)
-        ]
+    "values.json": json.dumps(VALUES),
+    "sampled.json": json.dumps(
+        {
+            "kind": "sampled",
+            "weights": [
+                1 + math.cos(2 * math.pi * j / 64) / 2 + math.sin(4 * math.pi * j / 64) / 4
+                for j in range(64)
+            ],
+        }
     ),
+    "bernstein_szego.json": json.dumps({"kind": "bernstein_szego", "alphas": VALUES[:40]}),
+    "config.json": json.dumps({"seed": 6, "sumrule": {"m": "1,2", "n-list": "100,400"}}),
 }
 EXPLICIT = ("--family", "explicit", "--values", "values.json")
+CONSTANT = ("--family", "constant", "--c", "0.4", "--c-imag", "0.2")
 
 COMMANDS = (
     # the sweep at each order on a 8192 grid, and the large sweep
@@ -94,6 +110,28 @@ COMMANDS = (
      "--kmax", "8"],
     ["measure", "functional", "--family", "power", "--c", "0.5", "--gamma", "0.6", "--n", "200",
      "--m", "2"],
+    # a 101-entry prefix, past the kernel's renormalisation stride
+    ["measure", "weight", "--family", "power", "--c", "0.8", "--gamma", "0.2", "--n", "100",
+     "--grid", "512", "--out", "weight.json"],
+    # measures read from a file, sampled and Bernstein-Szego
+    *(
+        ["measure", action, "--measure-json", name, "--m", "2", "--grid", "256", "--kmax", "6"]
+        for name in ("sampled.json", "bernstein_szego.json")
+        for action in ("functional", "weight", "moments")
+    ),
+    # every family kind generated, the last to a file
+    *(
+        ["generate", *family, "--n", "40"]
+        for family in (SWEEP_FAMILIES[0], SWEEP_FAMILIES[2], SWEEP_FAMILIES[3], CONSTANT)
+    ),
+    ["generate", *EXPLICIT, "--n", "119", "--out", "values_out.json"],
+    # the sweep on the two families no sweep above reads, with their sidecars
+    ["sumrule", "report", *CONSTANT, "--m", "1,2", "--n-list", "10,100,1000", "--out",
+     "report.csv"],
+    ["sumrule", "report", *EXPLICIT, "--m", "1,2,3", "--n-list", "10,60,119", "--out",
+     "report.csv"],
+    # defaults from a config file: the flat seed and the scoped orders and N list
+    ["--config", "config.json", "sumrule", "report", "--family", "random", "--out", "report.csv"],
     # exact Gram arithmetic
     ["gram", "certify", "--m-max", "12"],
     ["gram", "identity", "--m-max", "8"],
