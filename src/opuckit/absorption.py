@@ -68,9 +68,9 @@ def gn_ratio_probe(seq, m: int, r: int, N: int) -> float:
     if not 0 < r < m:
         raise ValueError("need 0 < r < m")
     if not isinstance(seq, VerblunskySequence):
-        seq = VerblunskySequence(tuple(seq))
+        seq = VerblunskySequence(seq)
     # the probe reads a_0..a_{N+2m}; entries past them do not count
-    if all(v == 0 for v in seq.values[: N + 2 * m + 1]):
+    if not seq.values[: N + 2 * m + 1].any():
         raise ValueError("probe needs a nonzero sequence")
     p_r = float(gn_exponent(m, r))
     diffs = difference_array(seq, r, N)

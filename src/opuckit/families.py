@@ -85,7 +85,7 @@ class FamilySpec:
                     raise ValueError(
                         f"explicit family has {len(self.values)} entries, need {N + 1}"
                     )
-                vals = np.asarray(self.values[: N + 1], dtype=np.complex128)
+                vals = self.values[: N + 1]
         return VerblunskySequence(vals)
 
     def to_dict(self) -> dict:

@@ -55,7 +55,7 @@ class MeasureSpec:
     @classmethod
     def bernstein_szego(cls, prefix) -> "MeasureSpec":
         if not isinstance(prefix, VerblunskySequence):
-            prefix = VerblunskySequence(tuple(prefix))
+            prefix = VerblunskySequence(prefix)
         return cls(kind="bernstein_szego", prefix=prefix)
 
     @classmethod
@@ -87,7 +87,7 @@ class MeasureSpec:
             return json.dumps(
                 {
                     "kind": "bernstein_szego",
-                    "alphas": [[v.real, v.imag] for v in self.prefix.values],
+                    "alphas": [[v.real, v.imag] for v in self.prefix.values.tolist()],
                 }
             )
         return json.dumps(
@@ -132,10 +132,10 @@ def _log_weight(prefix: VerblunskySequence, grid_size: int) -> np.ndarray:
     """log w on the uniform grid, computed entirely in log space."""
     if grid_size < 16:
         raise ValueError("grid_size must be at least 16")
-    mods2 = np.abs(np.asarray(prefix.values, dtype=np.complex128)) ** 2
+    mods2 = np.abs(prefix.values) ** 2
     log_prefactor = float(np.sum(np.log1p(-mods2)))
     z = np.exp(1j * theta_grid(grid_size))
-    logps = log_phistar_abs(np.asarray(prefix.values, dtype=np.complex128), z)
+    logps = log_phistar_abs(prefix.values, z)
     return log_prefactor - 2.0 * logps
 
 
@@ -146,7 +146,7 @@ def bernstein_szego_weight(prefix, grid_size: int = DEFAULT_GRID) -> np.ndarray:
     prefixes, it never leaves log space.
     """
     if not isinstance(prefix, VerblunskySequence):
-        prefix = VerblunskySequence(tuple(prefix))
+        prefix = VerblunskySequence(prefix)
     with np.errstate(under="ignore", over="ignore"):
         w = np.exp(_log_weight(prefix, grid_size))
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
@@ -275,7 +275,7 @@ def szego_functional_series(prefix, m_max: int, checkpoints) -> dict:
             f"overflows a float; got {m_max}"
         )
     if not isinstance(prefix, VerblunskySequence):
-        prefix = VerblunskySequence(tuple(prefix))
+        prefix = VerblunskySequence(prefix)
     wanted = sorted({int(N) for N in checkpoints})
     if wanted and wanted[0] < 0:
         raise ValueError("checkpoints must be >= 0")

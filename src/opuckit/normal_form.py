@@ -8,8 +8,8 @@ the term type in which `shift_algebra.ideal_power_decompose` emits a
 diagonal-ideal expansion; the class lives there and is re-exported here.
 `from_ideal_expansion` is the membership gate in front of it.  Values come
 from one table evaluator for both kinds of scalar: exact (a GaussianRational)
-over sequences with GaussianRational or Fraction entries, the test oracle,
-and complex over float sequences, the experiment engine.  The differences
+over sequences whose numpy dtype is object, the test oracle, and complex
+over any other sequence, the experiment engine.  The differences
 of a sequence are tabulated once per window of indices; exact entries are
 first scaled to Gaussian integers over a common denominator.
 """
@@ -51,8 +51,8 @@ def from_ideal_expansion(decomposition: IdealDecomposition) -> list[NormalFormMo
 def evaluate(monomial: NormalFormMonomial, seq, n: int):
     """coeff * prod (Delta^a a)_{n+l} * prod (Delta^b conj(a))_{n+r}.
 
-    Exact (a GaussianRational) over sequences with GaussianRational or
-    Fraction entries; complex over float sequences.  Conjugation commutes
+    Exact (a GaussianRational) over a sequence whose numpy dtype is object;
+    complex over any other sequence.  Conjugation commutes
     with the real-coefficient differences, so the antiholomorphic factors
     are conjugated after differencing.
     """
@@ -65,7 +65,7 @@ def pointwise_equality_check(P: ShiftPolynomial, q: int, seq, window) -> float:
 
     window is any iterable of indices n.  Both sides come from one
     difference table for the whole window.  Exactly 0.0 on an exact sequence
-    (GaussianRational or Fraction entries), where they are compared in
+    (numpy dtype object), where they are compared in
     Gaussian integers; propagates the membership failure if P is not in the
     declared ideal power.
     """

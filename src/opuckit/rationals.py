@@ -43,7 +43,7 @@ class GaussianRational:
         if isinstance(x, GaussianRational):
             return x
         if isinstance(x, (int, Fraction)):
-            return cls(x, 0)
+            return cls(x, 0) if x else GR_ZERO  # the int 0 pads every exact window
         if isinstance(x, tuple) and len(x) == 2:
             return cls(x[0], x[1])
         raise TypeError(f"cannot coerce {x!r} to GaussianRational")

@@ -28,14 +28,14 @@ def complex_pairs(obj, name: str = "values") -> tuple:
     return tuple(complex(re, im) for re, im in obj)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerblunskySequence:
-    """Finite complex sequence with all moduli strictly below 1."""
+    """Finite complex sequence with all moduli strictly below 1, as a read-only complex128 copy."""
 
-    values: tuple = ()
+    values: np.ndarray = ()
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
+        vals = np.array(self.values, dtype=np.complex128)
         if vals.ndim != 1:
             raise TypeError("values must be a flat sequence of numbers")
         # strict, tolerance-free check; np.hypot is the libm call behind abs(complex)
@@ -44,7 +44,17 @@ class VerblunskySequence:
         if bad.size:
             i = int(bad[0])
             raise ModulusError(f"|alpha_{i}| = {abs(complex(vals[i]))} is not < 1")
-        object.__setattr__(self, "values", tuple(vals.tolist()))
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
+
+    def __eq__(self, other):
+        if not isinstance(other, VerblunskySequence):
+            return NotImplemented
+        return np.array_equal(self.values, other.values)
+
+    def __hash__(self):
+        # hashes Python complex, so -0.0 and 0.0 hash alike, as they compare
+        return hash(tuple(self.values.tolist()))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -52,7 +62,7 @@ class VerblunskySequence:
     # JSON wire format: array of [re, im] pairs.
 
     def to_json(self) -> str:
-        return json.dumps([[v.real, v.imag] for v in self.values])
+        return json.dumps([[v.real, v.imag] for v in self.values.tolist()])
 
     @classmethod
     def from_json(cls, text: str) -> "VerblunskySequence":
@@ -68,17 +78,18 @@ class EnergyReport:
 
 
 def zero_extended(seq, start: int, stop: int) -> np.ndarray:
-    """Complex array of entries start..stop-1, 0 outside the stored prefix.
+    """Array of entries start..stop-1, 0 outside the stored prefix.
 
-    Accepts a VerblunskySequence or any plain sequence (list, tuple, numpy
-    array) of numbers.
+    seq is a VerblunskySequence or any plain sequence (list, tuple, numpy
+    array), read whole by np.asarray.  Its numpy dtype decides the kind:
+    object (exact entries, or ints past int64) gives an object array padded
+    with the int 0, and any other dtype a complex128 array.
     """
-    values = seq.values if isinstance(seq, VerblunskySequence) else seq
-    out = np.zeros(stop - start, dtype=np.complex128)
-    lo = max(start, 0)
-    hi = min(stop, len(values))
+    values = np.asarray(seq.values if isinstance(seq, VerblunskySequence) else seq)
+    out = np.zeros(stop - start, dtype=object if values.dtype == object else np.complex128)
+    lo, hi = max(start, 0), min(stop, len(values))
     if hi > lo:
-        out[lo - start : hi - start] = np.asarray(values[lo:hi], dtype=np.complex128)
+        out[lo - start : hi - start] = values[lo:hi]
     return out
 
 

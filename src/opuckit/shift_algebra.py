@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .rationals import GR_ZERO, GaussianRational
-from .sequences import VerblunskySequence, difference_rows, zero_extended
+from .sequences import difference_rows, zero_extended
 
 
 class ShiftPolynomial:
@@ -320,9 +320,9 @@ def coefficient_map(P: ShiftPolynomial, seq, n: int):
 
     Each monomial x^i y^j contributes coeff * prod a_{n+i_nu} * prod
     conj(a)_{n+j_mu}, with the zero extension for out-of-range indices.
-    The value comes from the table evaluator `_table_sums`: a complex over
-    a float sequence, and over a sequence with GaussianRational or Fraction
-    entries (ints may sit beside them) an exact GaussianRational.
+    The value comes from the table evaluator `_table_sums`: an exact
+    GaussianRational over a sequence whose numpy dtype is object (its
+    GaussianRational, Fraction and int entries), and a complex otherwise.
     """
     ((re, im),), den = _table_sums(P.k, seq, (n,), _polynomial_terms(P))
     return _scalar((re[0], im[0]), den)
@@ -392,7 +392,10 @@ def _table_sums(k: int, seq, window, *groups):
     A term is (coeff, factors): a scalar and 2k (difference order a, shift
     s) pairs, the first k read as (Delta^a a)_{n+s} and the last k as their
     conjugates.  Only the scaling and the tabulation depend on the kind of
-    scalar.  Over an exact sequence the entries read, zero-extended, are
+    scalar, which the numpy dtype of the whole stored sequence decides (see
+    `sequences.zero_extended`): object is exact, any other dtype float.
+    Over an exact sequence the entries read, zero-extended, go through
+    GaussianRational.coerce, which raises TypeError on a float, and are
     scaled to Gaussian integers over their common denominator D and the
     coefficients over theirs, L, so every term is an int-pair product
     carrying the factor L * D^(2k), the denominator returned; the tables
@@ -405,10 +408,10 @@ def _table_sums(k: int, seq, window, *groups):
     Returns one (re, im) pair of sequences per group, indexed like window,
     and the denominator.
     """
-    exact = _is_exact_sequence(seq)
     window = list(window)
     factor_lists = [factors for terms in groups for _, factors in terms]
     if not window or not factor_lists:
+        exact = zero_extended(seq, 0, 0).dtype == object
         zeros = [0] * len(window)
         return [(zeros, zeros) for _ in groups], 1 if exact else None
     orders = {a for factors in factor_lists for a, _ in factors}
@@ -416,8 +419,11 @@ def _table_sums(k: int, seq, window, *groups):
     base = min(window) + min(shifts)
     stop = max(window) + max(shifts) + max(orders) + 1
     coeffs = [c for terms in groups for c, _ in terms]
+    entries = zero_extended(seq, base, stop)
+    exact = entries.dtype == object
     if exact:
-        parts = list(zip(*map(_exact_parts, _zero_extended_list(seq, base, stop))))
+        gauss = [GaussianRational.coerce(v) for v in entries]
+        parts = [v.re for v in gauss], [v.im for v in gauss]
         D = math.lcm(*(x.denominator for part in parts for x in part))
         row = [[x.numerator * (D // x.denominator) for x in part] for part in parts]
         coeffs = [GaussianRational.coerce(c) for c in coeffs]
@@ -425,13 +431,6 @@ def _table_sums(k: int, seq, window, *groups):
         coeffs = [_over(c.re, c.im, L) for c in coeffs]
         den = L * D ** (2 * k)
     else:
-        # numpy would read an exact entry as a complex; a VerblunskySequence or
-        # a numeric ndarray holds none.  Types, not isinstance: Fraction's
-        # isinstance runs its ABC check, which made `absorb probe --k` 15% slower.
-        plain = not (isinstance(seq, VerblunskySequence) or _is_numeric_array(seq))
-        if plain and not _EXACT_TYPES.isdisjoint(map(type, seq[max(base, 0) : max(stop, 0)])):
-            raise TypeError("a float sequence has an exact entry")
-        entries = zero_extended(seq, base, stop)
         row = entries.real, entries.imag
         coeffs = [(z.real, z.imag) for z in map(complex, coeffs)]
         den = None
@@ -475,14 +474,6 @@ def _term_sum(n, terms) -> tuple:
     return tre, tim
 
 
-def _zero_extended_list(seq, start: int, stop: int) -> list:
-    """Entries start..stop-1 of an exact sequence as a list, int 0 outside the stored prefix."""
-    lo, hi = max(start, 0), min(stop, len(seq))
-    inner = list(seq[lo:hi]) if lo < hi else []
-    left = max(min(stop, 0) - start, 0)
-    return [0] * left + inner + [0] * (stop - start - left - len(inner))
-
-
 def _negated(part):
     """-part, for a list of ints or a float array."""
     return -part if isinstance(part, np.ndarray) else [-v for v in part]
@@ -498,35 +489,3 @@ def _scalar(value, den):
     if den is None:
         return complex(*value)
     return GaussianRational(Fraction(value[0], den), Fraction(value[1], den))
-
-
-_EXACT_TYPES = frozenset((GaussianRational, Fraction))
-
-
-def _is_exact_sequence(seq) -> bool:
-    """Whether seq is exact, decided by its first entry that is not an int.
-
-    A VerblunskySequence or an ndarray of numeric dtype is float without
-    reading an entry; a sequence of ints only is float.
-    """
-    if isinstance(seq, VerblunskySequence) or _is_numeric_array(seq):
-        return False
-    for v in seq:
-        if not isinstance(v, int):
-            return isinstance(v, (GaussianRational, Fraction))
-    return False
-
-
-def _is_numeric_array(seq) -> bool:
-    """Whether seq is an ndarray of numeric dtype, which holds no exact entry."""
-    return isinstance(seq, np.ndarray) and seq.dtype.kind in "biufc"
-
-
-def _exact_parts(v):
-    """Real and imaginary parts of an exact entry, as ints or Fractions."""
-    if isinstance(v, GaussianRational):
-        return v.re, v.im
-    if isinstance(v, (int, Fraction)):
-        return v, 0
-    g = GaussianRational.coerce(v)
-    return g.re, g.im

@@ -183,7 +183,7 @@ def _sumrule_checks() -> list[Check]:
         vals = [0j] * (N + 2 * m + 1)
         for i in range(m, N - m + 1):
             vals[i] = 0.8 * (rng.random() - 0.5) + 0.8j * (rng.random() - 0.5)
-        seq = VerblunskySequence(tuple(vals))
+        seq = VerblunskySequence(vals)
         # the Fourier side sum_l h_{m,l} a_{n+l} conj(a_n): the symbol with x^-m cleared
         S = sum_rule.hm_shift_symbol(m) * ShiftPolynomial.monomial(1, (-m, 0))
         q1 = sum(coefficient_map(S, seq, n) for n in range(N + 1)).real
@@ -213,7 +213,7 @@ def _sumrule_checks() -> list[Check]:
     checks.append(("sumrule.hm_vanishing_order", vanishing))
 
     def residual_constancy():
-        seq = VerblunskySequence(tuple(0.5 / (n + 1) for n in range(160)))
+        seq = VerblunskySequence([0.5 / (n + 1) for n in range(160)])
         r1 = sum_rule.decomposition_report(seq, 1, 50).residual
         r2 = sum_rule.decomposition_report(seq, 1, 150).residual
         expected = 0.5 + 0.5**2 / 2

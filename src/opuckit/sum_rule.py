@@ -157,7 +157,7 @@ def decomposition_sweep(seq, m_list, n_list) -> list[DecompositionReport]:
     if n_list[0] < 0:
         raise ValueError("N must be >= 0")
     if not isinstance(seq, VerblunskySequence):
-        seq = VerblunskySequence(tuple(seq))
+        seq = VerblunskySequence(seq)
     K = szego_functional_series(seq, m_list[-1], n_list)
     padded = zero_extended(seq, 0, n_list[-1] + 1)
     rows = []

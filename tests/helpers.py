@@ -255,7 +255,7 @@ def schur_series_loop(prefix, m_max: int, checkpoints) -> dict:
 
     pending = iter(wanted)
     nxt = next(pending, None)
-    for n, a in enumerate(prefix.values):
+    for n, a in enumerate(prefix.values.tolist()):
         if nxt is None:
             break
         mass -= math.log1p(-(a.real * a.real + a.imag * a.imag))

@@ -371,20 +371,7 @@ def test_fraction_sequence_is_checked_exactly():
     assert value == oracle_coefficient_map(P, seq, 1)
 
 
-# -- the kind of a sequence, without a scan -----------------------------------
-
-
-class CountingList(list):
-    """A list that counts the entries its iteration hands out."""
-
-    def __init__(self, values):
-        super().__init__(values)
-        self.read = 0
-
-    def __iter__(self):
-        for value in super().__iter__():
-            self.read += 1
-            yield value
+# -- the kind of a sequence: the numpy dtype of the whole stored sequence ------
 
 
 class UniterableArray(np.ndarray):
@@ -399,16 +386,23 @@ HALF = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
 
 
 class TestSequenceKind:
-    def test_a_float_list_is_decided_by_its_first_entry(self):
-        seq = CountingList([0.1 + 0.2j] * 100_000)
-        assert isinstance(evaluate(DEGREE_4, seq, 50_000), complex)
-        assert seq.read == 1
-
-    def test_leading_ints_are_read_up_to_the_first_exact_entry(self):
-        seq = CountingList([0] * 20 + [HALF] * 30)
-        value = evaluate(DEGREE_4, seq, 18)
-        assert value == oracle_evaluate(DEGREE_4, seq, 18)
-        assert seq.read == 21
+    @pytest.mark.parametrize(
+        "seq, n, kind",
+        [
+            ([0.5, HALF, HALF, HALF, HALF], 1, GaussianRational),
+            ([1, 0, -1, 2, 3], 1, complex),
+            ([2**64, 0, -1, 2], 0, GaussianRational),
+            ([0.1 + 0.2j] * 100_000, 50_000, complex),
+        ],
+        ids=["mixed-list-is-exact", "ints-are-float", "int-past-int64-is-exact",
+             "long-float-list"],
+    )
+    def test_numpy_dtype_decides_the_kind(self, seq, n, kind):
+        # the mixed list's window reads only its exact entries
+        value = evaluate(DEGREE_4, seq, n)
+        assert isinstance(value, kind)
+        oracle = oracle_evaluate if kind is GaussianRational else oracle_float_evaluate
+        assert value == oracle(DEGREE_4, seq, n)
 
     def test_a_numeric_ndarray_is_float_without_a_read(self):
         seq = np.full(100_000, 0.1 + 0.2j).view(UniterableArray)

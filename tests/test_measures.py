@@ -301,7 +301,7 @@ class TestMeasureSpecJson:
     def test_bernstein_szego_round_trip(self):
         spec = MeasureSpec.bernstein_szego([0.1 + 0.2j, -0.3])
         again = MeasureSpec.from_json(spec.to_json())
-        assert again.prefix.values == spec.prefix.values
+        assert again.prefix == spec.prefix
         obj = json.loads(spec.to_json())
         assert obj == {"kind": "bernstein_szego", "alphas": [[0.1, 0.2], [-0.3, 0.0]]}
 

@@ -78,7 +78,7 @@ class TestConstruction:
     def test_accepts_one_ulp_inside_the_circle(self):
         below = math.nextafter(1.0, 0.0)
         seq = VerblunskySequence((below, complex(0.0, -below)))
-        assert seq.values == (complex(below), complex(0.0, -below))
+        assert seq.values.tolist() == [complex(below), complex(0.0, -below)]
 
     def test_rejects_nested_values(self):
         with pytest.raises(TypeError):
@@ -93,13 +93,46 @@ class TestConstruction:
     def test_json_round_trip(self):
         seq = VerblunskySequence((0.1 + 0.3j, -0.5j))
         again = VerblunskySequence.from_json(seq.to_json())
-        assert again.values == seq.values
+        assert again == seq
         assert json.loads(seq.to_json()) == [[0.1, 0.3], [-0.0, -0.5]]
 
     def test_as_array_padding(self):
         seq = VerblunskySequence((0.1, 0.2))
         arr = zero_extended(seq, -2, 4)
         assert arr.tolist() == [0, 0, 0.1, 0.2, 0, 0]
+
+
+class TestValueSemantics:
+    def test_values_are_read_only(self):
+        seq = VerblunskySequence((0.1, 0.2j))
+        with pytest.raises(ValueError):
+            seq.values[0] = 0.5
+
+    def test_mutating_the_source_leaves_the_sequence_alone(self):
+        source = np.array([0.1, 0.2j])
+        seq = VerblunskySequence(source)
+        source[0] = 0.5
+        assert seq.values.tolist() == [0.1, 0.2j]
+
+    @pytest.mark.parametrize(
+        "a, b, equal",
+        [
+            ((0.1, 0.2j), (0.1, 0.2j), True),
+            ((0.0, 0.1), (complex(-0.0, -0.0), 0.1), True),
+            ((0.1, 0.2j), (0.1, -0.2j), False),
+            ((0.1,), (0.1, 0.0), False),
+        ],
+        ids=["same", "signed-zeros", "one-entry-differs", "longer"],
+    )
+    def test_eq_and_hash_agree(self, a, b, equal):
+        x, y = VerblunskySequence(a), VerblunskySequence(b)
+        assert (x == y) is equal
+        if equal:
+            assert hash(x) == hash(y)
+
+    def test_a_sequence_rebuilt_from_its_values_is_equal(self):
+        seq = VerblunskySequence((0.1 + 0.3j, -0.5j, 0.25))
+        assert VerblunskySequence(seq.values) == seq
 
 
 class TestForwardDifference:

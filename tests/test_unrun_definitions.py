@@ -1,0 +1,15 @@
+"""The allow-list of tools/unrun_definitions.py names definitions that exist, unrun."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "unrun_definitions.py"
+spec = importlib.util.spec_from_file_location("unrun_definitions", TOOL)
+unrun_definitions = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(unrun_definitions)
+
+
+def test_every_allowed_name_is_a_definition_in_src():
+    names = {dotted for _, _, dotted in unrun_definitions.definitions().values()}
+    assert sorted(set(unrun_definitions.ALLOWED) - names) == []
+    assert all(unrun_definitions.ALLOWED.values())
