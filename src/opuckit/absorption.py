@@ -3,11 +3,15 @@
 The exponent ladder p_r = 2(m+1)/(r+1) interpolates between the power
 energy (r = 0, p = 2m+2) and the difference energy (r = m, p = 2).  For a
 degree-2k monomial whose difference orders sum to m+1-k the reciprocal
-exponents add up to (m+1+k)/(2(m+1)) < 1, which is the strict-subcriticality
-margin that lets Young's inequality absorb the term with an arbitrarily
-small epsilon.  Those facts are exact rational arithmetic and are tested as
-such; the interpolation constant itself is existential, so the probes here
-only record empirical maxima over declared families.
+exponents add up to (m+1+k)/(2(m+1)) < 1.  On Z with counting measure that
+is a deficit, not a margin: Holder bounds a sum of products by the product
+of the norms only when the reciprocals add up to at least 1.  On plane
+waves a_n = r e^{irn} at m = k = 2 the m+1-k monomial sums to about 1/(2r)
+times the diff + power energy, unbounded as r -> 0, so it is not
+absorbable; with 2(m+1-k) differences the budget is 1 and the ratio stays
+near 1/2 (tests/test_absorption.py).  The budgets are exact rational
+arithmetic; the probes here only record empirical maxima over declared
+families.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ def holder_budget(m: int, k: int, orders) -> Fraction:
     """Exact exponent budget sum 1/p_{a_nu} + sum 1/p_{b_mu}.
 
     Each reciprocal is (order+1)/(2(m+1)), so for total order m+1-k the sum
-    is (m+1+k)/(2(m+1)), strictly below 1 for 2 <= k <= m.
+    is (m+1+k)/(2(m+1)), below 1 for 2 <= k <= m: on Z, short of the 1 that
+    Holder needs.  Total order 2(m+1-k) gives exactly 1.
     """
     if not 2 <= k <= m:
         raise ValueError(f"need 2 <= k <= m, got k={k}, m={m}")
@@ -197,27 +202,3 @@ def absorption_probes(
     terms = _probe_terms(monomial, seq, m, n_values)
     constant = _fitted_constant(terms, epsilon)
     return [_probe(terms, N, epsilon, constant) for N in n_values]
-
-
-def scaling_relation_residual(m: int, r: int) -> Fraction:
-    """Exact residual of the exponent scaling relation; zero when it holds.
-
-    r - 1/p_r = (r/m)(m - 1/2) - (1 - r/m)/(2m+2), checked over Q.
-    """
-    p = gn_exponent(m, r)
-    lhs = Fraction(r) - Fraction(1) / p
-    rhs = Fraction(r, m) * (Fraction(m) - Fraction(1, 2)) - (
-        1 - Fraction(r, m)
-    ) * Fraction(1, 2 * m + 2)
-    return lhs - rhs
-
-
-def young_subcriticality(m: int, k: int) -> Fraction:
-    """Exact Young exponent (sigma/m)/2 + (2k - sigma/m)/(2m+2) at sigma = m+1-k.
-
-    Equals (m+1+k)/(2(m+1)), strictly below 1 for all 2 <= k <= m.
-    """
-    if not 2 <= k <= m:
-        raise ValueError("need 2 <= k <= m")
-    sigma = Fraction(m + 1 - k)
-    return (sigma / m) / 2 + (2 * k - sigma / m) / (2 * m + 2)

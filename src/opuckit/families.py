@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import VerblunskySequence, complex_pairs
+from .sequences import VerblunskySequence
 
 KINDS = ("power", "rotated", "random", "constant", "explicit")
 
@@ -102,22 +102,3 @@ class FamilySpec:
         if self.kind == "explicit":
             out["values"] = [[v.real, v.imag] for v in self.values]
         return out
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "FamilySpec":
-        kind = obj["kind"]
-        kwargs = {}
-        if "c" in obj:
-            c = obj["c"]
-            kwargs["c"] = complex(c[0], c[1]) if isinstance(c, list) else complex(c)
-        if "gamma" in obj:
-            kwargs["gamma"] = float(obj["gamma"])
-        if "beta" in obj:
-            kwargs["beta"] = float(obj["beta"])
-        if "seed" in obj:
-            kwargs["seed"] = int(obj["seed"])
-        if "modulus_cap" in obj:
-            kwargs["modulus_cap"] = float(obj["modulus_cap"])
-        if "values" in obj:
-            kwargs["values"] = complex_pairs(obj["values"])
-        return cls(kind=kind, **kwargs)

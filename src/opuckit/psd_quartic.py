@@ -81,16 +81,6 @@ class GramBlock:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "GramBlock":
-        import json
-
-        obj = json.loads(text)
-        entries = tuple(
-            tuple(Fraction(c) for c in row) for row in obj["entries"]
-        )
-        return cls(m=obj["m"], entries=entries)
-
 
 def gram_closed_form(m: int) -> GramBlock:
     """Exact Gram matrix from the double binomial sum.

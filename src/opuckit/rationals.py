@@ -19,8 +19,6 @@ def _as_fraction(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -44,8 +42,6 @@ class GaussianRational:
             return x
         if isinstance(x, (int, Fraction)):
             return cls(x, 0) if x else GR_ZERO  # the int 0 pads every exact window
-        if isinstance(x, tuple) and len(x) == 2:
-            return cls(x[0], x[1])
         raise TypeError(f"cannot coerce {x!r} to GaussianRational")
 
     # -- arithmetic ----------------------------------------------------
@@ -68,18 +64,6 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
-    def __sub__(self, other):
-        o = GaussianRational._try_coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = GaussianRational._try_coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = GaussianRational._try_coerce(other)
         if o is None:
@@ -90,18 +74,6 @@ class GaussianRational:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = GaussianRational._try_coerce(other)
-        if o is None:
-            return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return self * GaussianRational(o.re / n, -o.im / n)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     # -- queries ---------------------------------------------------------
 
@@ -121,7 +93,8 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its int or Fraction, so it must hash as that does
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __repr__(self):
         if self.im == 0:

@@ -64,10 +64,6 @@ class VerblunskySequence:
     def to_json(self) -> str:
         return json.dumps([[v.real, v.imag] for v in self.values.tolist()])
 
-    @classmethod
-    def from_json(cls, text: str) -> "VerblunskySequence":
-        return cls(complex_pairs(json.loads(text)))
-
 
 @dataclass(frozen=True)
 class EnergyReport:

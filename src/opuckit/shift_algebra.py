@@ -119,9 +119,6 @@ class ShiftPolynomial:
             other = ShiftPolynomial.constant(self.k, other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return ShiftPolynomial.constant(self.k, other) + (-self)
-
     def __mul__(self, other):
         if not isinstance(other, ShiftPolynomial):
             c = GaussianRational.coerce(other)
@@ -160,17 +157,6 @@ class ShiftPolynomial:
             return f"ShiftPolynomial(k={self.k}, 0)"
         parts = [f"{c!r}*v^{e}" for e, c in sorted(self.terms.items())]
         return f"ShiftPolynomial(k={self.k}, " + " + ".join(parts) + ")"
-
-    def conjugate(self) -> "ShiftPolynomial":
-        """Swap the x and y exponent blocks and conjugate every coefficient.
-
-        Under the coefficient map this conjugates the mapped local value.
-        """
-        k = self.k
-        swapped = {}
-        for e, c in self.terms.items():
-            swapped[e[k:] + e[:k]] = c.conjugate()
-        return ShiftPolynomial(k, swapped)
 
 
 def diag_eval(P: ShiftPolynomial) -> GaussianRational:

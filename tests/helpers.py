@@ -107,6 +107,16 @@ def moment_vanishing_order(P: ShiftPolynomial, cap: int) -> int:
     return cap
 
 
+def conjugate_polynomial(P: ShiftPolynomial) -> ShiftPolynomial:
+    """P with its x and y exponent blocks swapped and every coefficient conjugated.
+
+    Under the coefficient map this conjugates the mapped local value.
+    """
+    k = P.k
+    terms = {e[k:] + e[:k]: GaussianRational(c.re, -c.im) for e, c in P.terms.items()}
+    return ShiftPolynomial(k, terms)
+
+
 def random_float_sequence(rng: random.Random, length: int, cap: float = 0.9) -> VerblunskySequence:
     vals = []
     for _ in range(length):

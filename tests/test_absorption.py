@@ -1,21 +1,22 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from opuckit.absorption import (
     absorption_inequality_probe,
     absorption_probes,
+    critical_orders,
     fit_absorption_constant,
     gn_exponent,
     gn_ratio_probe,
     holder_budget,
-    scaling_relation_residual,
+    monomial_sum,
     shift_allowance,
-    young_subcriticality,
 )
 from opuckit.normal_form import NormalFormMonomial
-from opuckit.sequences import VerblunskySequence
+from opuckit.sequences import VerblunskySequence, lukic_partial_sums
 
 from helpers import random_float_sequence
 
@@ -40,9 +41,11 @@ class TestExponents:
             gn_exponent(3, -1)
 
     def test_scaling_relation_exact(self):
+        # r - 1/p_r = (r/m)(m - 1/2) - (1 - r/m)/(2m+2), over Q
         for m in range(1, 13):
             for r in range(m + 1):
-                assert scaling_relation_residual(m, r) == 0
+                t = Fraction(r, m)
+                assert r - 1 / gn_exponent(m, r) == t * (m - Fraction(1, 2)) - (1 - t) / (2 * m + 2)
 
 
 class TestHolderBudget:
@@ -68,12 +71,14 @@ class TestHolderBudget:
                 assert b == Fraction(m + 1 + k, 2 * (m + 1))
                 assert b < 1 and sum(orders) == m + 1 - k
 
-    def test_young_subcriticality(self):
+    def test_young_exponent_is_the_budget(self):
+        # (sigma/m)/2 + (2k - sigma/m)/(2m+2) at sigma = m+1-k, over Q
         for m in range(2, 13):
             for k in range(2, m + 1):
-                val = young_subcriticality(m, k)
-                assert val == Fraction(m + 1 + k, 2 * (m + 1))
-                assert val < 1
+                t = Fraction(m + 1 - k, m)
+                young = t / 2 + (2 * k - t) / (2 * m + 2)
+                assert young == holder_budget(m, k, critical_orders(m, k))
+                assert young == Fraction(m + 1 + k, 2 * (m + 1))
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -154,3 +159,35 @@ class TestAbsorptionProbe:
     def test_shift_allowance(self):
         mono = NormalFormMonomial(2, ((2, -1), (0, 3)), ((1, 0), (0, -2)), 1.0)
         assert shift_allowance(mono) == 3 + 2
+
+
+class TestPlaneWaves:
+    """On Z the budget below 1 is a deficit: plane waves a_n = r e^{irn}, m = k = 2.
+
+    Against the diff + power energy, the m+1-k = 1 difference monomial
+    (Delta a)_n a_n conj(a_n) conj(a_n) sums to about 1/(2r), unbounded as
+    r -> 0, so no fixed epsilon and C absorb it.  With 2(m+1-k) = 2
+    differences, (Delta a)_n a_n conj(Delta a)_n conj(a_n), the ratio stays
+    near 1/2: bounded, but not small.
+    """
+
+    @staticmethod
+    def ratio(mono, r, N):
+        m = 2
+        seq = VerblunskySequence(r * np.exp(1j * r * np.arange(N + 2 * m + 3)))
+        report = lukic_partial_sums(seq, m, N + shift_allowance(mono))
+        return monomial_sum(mono, seq, N) / (report.diff_energy + report.power_energy)
+
+    @pytest.mark.parametrize("r", [0.2, 0.1, 0.05])
+    @pytest.mark.parametrize("N", [1000, 2000, 4000])
+    def test_critical_count_grows_as_one_over_2r(self, r, N):
+        o = critical_orders(2, 2)
+        mono = NormalFormMonomial(2, ((o[0], 0), (o[1], 0)), ((o[2], 0), (o[3], 0)), 1.0)
+        assert mono.difference_count == 1
+        assert abs(2 * r * self.ratio(mono, r, N) - 1) <= 1e-2
+
+    @pytest.mark.parametrize("r", [0.2, 0.1, 0.05])
+    @pytest.mark.parametrize("N", [1000, 2000, 4000])
+    def test_twice_the_count_stays_near_one_half(self, r, N):
+        mono = NormalFormMonomial(2, ((1, 0), (0, 0)), ((1, 0), (0, 0)), 1.0)
+        assert abs(self.ratio(mono, r, N) - 0.5) <= 1e-2

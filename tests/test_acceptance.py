@@ -13,12 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from opuckit.absorption import (
-    gn_exponent,
-    holder_budget,
-    scaling_relation_residual,
-    young_subcriticality,
-)
+from opuckit.absorption import critical_orders, gn_exponent, holder_budget
 from opuckit.families import FamilySpec
 from opuckit.measures import MeasureSpec, trig_moments
 from opuckit.normal_form import pointwise_equality_check
@@ -176,7 +171,9 @@ def test_criterion_11_exponent_arithmetic():
     ok = True
     for m in range(1, 13):
         for r in range(m + 1):
-            ok = ok and scaling_relation_residual(m, r) == 0
+            t = Fraction(r, m)
+            scaling = t * (m - Fraction(1, 2)) - (1 - t) / (2 * m + 2)
+            ok = ok and r - 1 / gn_exponent(m, r) == scaling
         ok = ok and gn_exponent(m, 0) == 2 * m + 2 and gn_exponent(m, m) == 2
     for m in range(2, 13):
         for k in range(2, m + 1):
@@ -190,7 +187,9 @@ def test_criterion_11_exponent_arithmetic():
             budget = holder_budget(m, k, orders)
             expected = Fraction(m + 1 + k, 2 * (m + 1))
             ok = ok and budget == expected and expected < 1
-            ok = ok and young_subcriticality(m, k) == expected
+            t = Fraction(m + 1 - k, m)
+            young = t / 2 + (2 * k - t) / (2 * m + 2)
+            ok = ok and young == holder_budget(m, k, critical_orders(m, k)) == expected
     report(11, "GN scaling relation and Holder budgets exact, 2<=k<=m<=12", ok)
 
 

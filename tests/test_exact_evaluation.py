@@ -56,7 +56,8 @@ def oracle_coefficient_map(P: ShiftPolynomial, seq, n: int) -> GaussianRational:
         for slot in range(k):
             prod = prod * GaussianRational.coerce(entry(seq, n + exps[slot]))
         for slot in range(k, 2 * k):
-            prod = prod * GaussianRational.coerce(entry(seq, n + exps[slot])).conjugate()
+            g = GaussianRational.coerce(entry(seq, n + exps[slot]))
+            prod = prod * GaussianRational(g.re, -g.im)
         total = total + prod
     return total
 
@@ -66,7 +67,8 @@ def oracle_evaluate(mono: NormalFormMonomial, seq, n: int) -> GaussianRational:
     for a, shift in mono.holo_factors:
         prod = prod * GaussianRational.coerce(forward_difference(seq, a, n + shift))
     for b, shift in mono.anti_factors:
-        prod = prod * GaussianRational.coerce(forward_difference(seq, b, n + shift)).conjugate()
+        g = GaussianRational.coerce(forward_difference(seq, b, n + shift))
+        prod = prod * GaussianRational(g.re, -g.im)
     return prod
 
 
@@ -76,7 +78,7 @@ def oracle_deviation(P: ShiftPolynomial, monomials, seq, window) -> float:
         rhs = GR_ZERO
         for mono in monomials:
             rhs = rhs + oracle_evaluate(mono, seq, n)
-        worst = max(worst, abs((oracle_coefficient_map(P, seq, n) - rhs).to_complex()))
+        worst = max(worst, abs((oracle_coefficient_map(P, seq, n) + -rhs).to_complex()))
     return worst
 
 

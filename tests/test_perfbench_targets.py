@@ -103,6 +103,6 @@ def test_names_perfbench_reads_resolve():
 
 
 def test_a_deleted_name_is_reported():
-    assert _resolves("opuckit.shift_algebra.ShiftPolynomial.conjugate")
+    assert _resolves("opuckit.shift_algebra.ShiftPolynomial.__mul__")
     assert not _resolves("opuckit.shift_algebra.no_such_name")
     assert not _resolves("opuckit.no_such_module.main")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from opuckit.sequences import (
     ModulusError,
     VerblunskySequence,
+    complex_pairs,
     difference_array,
     lp_norm,
     lukic_partial_sums,
@@ -92,8 +93,7 @@ class TestConstruction:
 
     def test_json_round_trip(self):
         seq = VerblunskySequence((0.1 + 0.3j, -0.5j))
-        again = VerblunskySequence.from_json(seq.to_json())
-        assert again == seq
+        assert VerblunskySequence(complex_pairs(json.loads(seq.to_json()))) == seq
         assert json.loads(seq.to_json()) == [[0.1, 0.3], [-0.0, -0.5]]
 
     def test_as_array_padding(self):

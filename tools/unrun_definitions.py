@@ -10,15 +10,18 @@ round of every workload of perfbench/workloads.py: each op built by its
 src/opuckit/*.py, nested ones included; methods that dataclasses generate
 have no `def` and are not listed.  Prints each definition whose code never
 ran, as FILE:LINE MODULE.QUALIFIED.NAME, except those in ALLOWED, and
-exits 1 if it printed any.  It takes about 14 s on a 2-core Intel Xeon
-under CPython 3.11, too slow for Tier-1, so run it by hand beside
-tools/compare_outputs.py.
+exits 1 if it printed any.  A printed definition that a span of
+perfbench/tracing.py patches by name is marked so: it stays while
+`perfbench/run.py --trace 1` looks it up.  The tool takes about 14 s on a
+2-core Intel Xeon under CPython 3.11, too slow for Tier-1, so run it by
+hand beside tools/compare_outputs.py.
 """
 
 from __future__ import annotations
 
 import ast
 import contextlib
+import importlib.util
 import io
 import os
 import sys
@@ -27,6 +30,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "opuckit"
+TRACING = ROOT / "perfbench" / "tracing.py"
+SPAN_MARK = "named by perfbench/tracing.py"
 
 # Data-model methods that stay although no command calls them, with the reason.
 HASH = "the hash beside __eq__, which Python drops from a class that defines __eq__ alone"
@@ -68,6 +73,27 @@ def definitions() -> dict:
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text()), path, (path.stem,))
     return found
+
+
+def span_targets() -> set:
+    """{dotted name} of every definition a span of perfbench/tracing.py patches.
+
+    Loads the tracer from its file without writing bytecode next to it.
+    """
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(tracing)
+    finally:
+        sys.dont_write_bytecode = saved
+    return {f"{module.removeprefix('opuckit.')}.{path}" for _, module, path in tracing.SPANS}
+
+
+def report_line(file_name: str, line: int, qualified: str, spans: set) -> str:
+    mark = f"  ({SPAN_MARK})" if qualified in spans else ""
+    return f"{file_name}:{line} {qualified}{mark}"
 
 
 def run_everything() -> set:
@@ -113,8 +139,9 @@ def main() -> int:
         defs[key] for key in sorted(defs.keys() - ran, key=lambda k: defs[k][:2])
         if defs[key][2] not in ALLOWED
     ]
+    spans = span_targets()
     for file_name, line, qualified in unrun:
-        print(f"{file_name}:{line} {qualified}")
+        print(report_line(file_name, line, qualified, spans))
     print(f"{len(defs)} definitions, {len(unrun)} never run outside the allow-list")
     return 1 if unrun else 0
 
