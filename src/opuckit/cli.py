@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import math
 import sys
@@ -113,6 +114,10 @@ def cmd_sumrule(args) -> int:
             "seed": args.seed,
             "out": args.out,
         }
+        if family.kind == "explicit":  # the file's path as given and digest, not its entries
+            with open(args.values, "rb") as fh:
+                sidecar["values_file"] = args.values
+                sidecar["values_sha256"] = hashlib.sha256(fh.read()).hexdigest()
         # one line: without indent= json runs its C encoder, with it the Python one
         with open(args.out + ".config.json", "w") as fh:
             fh.write(json.dumps(sidecar, sort_keys=True) + "\n")

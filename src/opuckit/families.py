@@ -100,5 +100,5 @@ class FamilySpec:
             out["seed"] = self.seed
             out["modulus_cap"] = self.modulus_cap
         if self.kind == "explicit":
-            out["values"] = [[v.real, v.imag] for v in self.values]
+            out["length"] = len(self.values)
         return out

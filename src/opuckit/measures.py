@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._kernels import log_phistar_abs
-from .sequences import VerblunskySequence, complex_pairs, zero_extended
+from .sequences import VerblunskySequence, abs2, complex_pairs, zero_extended
 
 DEFAULT_GRID = 4096
 
@@ -132,8 +132,7 @@ def _log_weight(prefix: VerblunskySequence, grid_size: int) -> np.ndarray:
     """log w on the uniform grid, computed entirely in log space."""
     if grid_size < 16:
         raise ValueError("grid_size must be at least 16")
-    mods2 = np.abs(prefix.values) ** 2
-    log_prefactor = float(np.sum(np.log1p(-mods2)))
+    log_prefactor = float(np.sum(np.log1p(-abs2(prefix.values))))
     z = np.exp(1j * theta_grid(grid_size))
     logps = log_phistar_abs(prefix.values, z)
     return log_prefactor - 2.0 * logps
@@ -188,7 +187,7 @@ def _cmv_moments(prefix: VerblunskySequence, kmax: int) -> np.ndarray:
     """
     size = 2 * kmax + 2
     a = zero_extended(prefix, 0, size)
-    rho = np.sqrt(1.0 - (a.real * a.real + a.imag * a.imag))
+    rho = np.sqrt(1.0 - abs2(a))
     # M pairs rows (1, 2), (3, 4), ... with the odd Thetas; row size - 1 is
     # left alone, out of reach of row 0 within kmax steps
     a_m, conj_m, rho_m = a[1:-1:2], a[1:-1:2].conj(), rho[1:-1:2]
@@ -335,8 +334,7 @@ def szego_functional_series(prefix, m_max: int, checkpoints) -> dict:
                 acc_re = acc_re - (pr * dr - pi * di)
                 acc_im = acc_im - (pr * di + pi * dr)
             lg.append((acc_re, acc_im))
-        ar, ai = e.real[M:], im[M:]
-        logs = np.fromiter(map(math.log1p, (-(ar * ar + ai * ai)).tolist()), float, B)
+        logs = np.fromiter(map(math.log1p, (-abs2(e[M:])).tolist()), float, B)
         # the carried sum goes first, so each sum adds in the loop's order
         terms = [-logs] + [lg_re for lg_re, _ in lg]
         runs = [np.cumsum(np.concatenate(([c], x))) for c, x in zip(sums, terms)]

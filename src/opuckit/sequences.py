@@ -20,6 +20,12 @@ class ModulusError(ValueError):
     """An entry with |alpha| >= 1 was supplied where the open disc is required."""
 
 
+def abs2(values) -> np.ndarray:
+    """|v|^2 of every entry as re*re + im*im: the one squared modulus that every module reads."""
+    v = np.asarray(values)
+    return np.square(v.real) + np.square(v.imag)
+
+
 def complex_pairs(obj, name: str = "values") -> tuple:
     """The entries of the JSON wire format [[re, im], ...]; a boolean is no number."""
     pairs = isinstance(obj, list) and all(isinstance(p, list) and len(p) == 2 for p in obj)
@@ -38,12 +44,13 @@ class VerblunskySequence:
         vals = np.array(self.values, dtype=np.complex128)
         if vals.ndim != 1:
             raise TypeError("values must be a flat sequence of numbers")
-        # strict, tolerance-free check; np.hypot is the libm call behind abs(complex)
+        # strict, tolerance-free check on the |a|^2 that every consumer reads
         with np.errstate(over="ignore"):
-            bad = np.flatnonzero(~(np.hypot(vals.real, vals.imag) < 1.0))
+            x = abs2(vals)
+        bad = np.flatnonzero(~(x < 1.0))
         if bad.size:
             i = int(bad[0])
-            raise ModulusError(f"|alpha_{i}| = {abs(complex(vals[i]))} is not < 1")
+            raise ModulusError(f"|alpha_{i}|^2 = {x[i]} is not < 1")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -118,10 +125,8 @@ def lukic_partial_sums(seq, m: int, N: int) -> EnergyReport:
     """Difference energy sum |Delta^m a_n|^2 and power energy sum |a_n|^(2m+2) over [0, N]."""
     if m < 1:
         raise ValueError("order m must be >= 1")
-    diffs = difference_array(seq, m, N)
-    diff_energy = float(np.sum(np.abs(diffs) ** 2))
-    arr = zero_extended(seq, 0, N + 1)
-    power_energy = float(np.sum(np.abs(arr) ** (2 * m + 2)))
+    diff_energy = float(np.sum(abs2(difference_array(seq, m, N))))
+    power_energy = float(np.sum(abs2(zero_extended(seq, 0, N + 1)) ** (m + 1)))
     return EnergyReport(diff_energy=diff_energy, power_energy=power_energy)
 
 
@@ -132,9 +137,9 @@ def lp_norm(values, p: float, N: int | None = None) -> float:
     if N is None:
         N = len(values) - 1
     arr = zero_extended(values, 0, max(N + 1, 0))
-    # hypot and float_power call the libm functions behind abs(v) ** p, and a
-    # cumsum adds in index order, so the sum is the one a scalar loop makes
-    powers = np.float_power(np.hypot(arr.real, arr.imag), p)
+    # float_power calls the libm pow behind Python's **, and a cumsum adds in
+    # index order, so the sum is the one a scalar loop makes
+    powers = np.float_power(abs2(arr), p / 2.0)
     total = float(np.cumsum(powers)[-1]) if powers.size else 0.0
     return total ** (1.0 / p)
 

@@ -247,7 +247,7 @@ def _absorb_checks() -> list[Check]:
                 expected = Fraction(m + 1 + k, 2 * (m + 1))
                 if budget != expected or budget >= 1:
                     return False, f"budget mismatch at m={m}, k={k}"
-        return True, "budgets exact and subcritical, 2 <= k <= m <= 12"
+        return True, "budgets exactly (m+1+k)/(2(m+1)), short of Holder's 1 on Z, 2 <= k <= m <= 12"
 
     checks.append(("absorb.budgets", budgets))
     return checks

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import hm_closed_form, szego_functional_series
-from .sequences import VerblunskySequence, lukic_partial_sums, zero_extended
+from .sequences import VerblunskySequence, abs2, lukic_partial_sums, zero_extended
 from .shift_algebra import ShiftPolynomial
 
 
@@ -44,55 +44,41 @@ def hm_shift_symbol(m: int) -> ShiftPolynomial:
 def log_tails(alphas, m: int) -> np.ndarray:
     """log(1/(1-|a|^2)) minus its first m Taylor terms, for every entry a.
 
-    Each entry equals sum_{j>m} |a|^{2j}/j.  Small |a| would lose the tail to
-    cancellation in the direct formula, so at and below x = |a|^2 = 1/2 the
-    tail series is summed directly by the scalar loop
+    Each entry equals sum_{j>m} x^j/j, x = abs2(a); always >= x^(m+1)/(m+1).
+    For 0 < x <= 1/2, where the direct formula would lose the tail to
+    cancellation, the series is cut after J = ceil(log(1e-17)/log x) <= 57
+    terms and summed in Horner form, acc = acc*x + 1/(m+1+i) for
+    i = J..0, tail = acc*x^(m+1): the entries sorted by J, step i updates
+    those with J >= i.  Every term is positive, so with u = 2^-53,
+    gamma_k = ku/(1-ku) and eta = 2^-1074 the tail is within
 
-        term = x**(m+1); total = 0.0; j = m + 1
-        repeat: total += term/j; term *= x; j += 1
-        until term/j <= 1e-18 * total
+        gamma_(2J+4) tail + x^(m+J+2)/((m+J+2)(1-x)) + 2 eta:
 
-    run on all those entries at once: they share j, and an entry writes its
-    total to its own index once, on the step where it stops.  A stopped
-    entry stays in the arrays, masked out of the live ones, until fewer than
-    half of them are live; then the arrays keep the live entries alone.  Its
-    later steps change nothing that is written.  Above 1/2 the closed form
-    is accurate.  Always >= |a|^{2m+2}/(m+1).
-
-    Every entry is the same float as the one-entry scalar formula: x is
-    np.float_power(np.hypot(re, im), 2.0), which calls the libm hypot and pow
-    that Python's abs(a) ** 2 calls, and log1p stays a scalar math.log1p.
-    np.abs on complex arrays and np.power use their own SIMD code and differ
-    from those in the last bit for a sizeable share of entries.
+    gamma_(2J) for the J multiply-adds (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, section 5.1), u for each rounded
+    1/(m+1+i), 2u for pow (within one ulp), u for the last product; the
+    truncated terms, at most 1e-17 of the tail; eta for a subnormal
+    x^(m+1) or product.  Above 1/2 the closed form L - P, L = -log1p(-x),
+    P = sum_{k<=m} x^k/k, is within 2u L + gamma_(m+1) P + u tail, with
+    log1p within one ulp: its cancellation costs up to L/tail relative.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    alphas = np.asarray(alphas, dtype=np.complex128)
-    with np.errstate(over="ignore"):
-        x = np.float_power(np.hypot(alphas.real, alphas.imag), 2.0)
-    # ~(x < 1) also refuses a nan modulus, which would fall through both branches
-    over = np.flatnonzero(~(x < 1.0))
-    if over.size:
-        raise ValueError(f"|alpha| = {abs(complex(alphas[over[0]]))} is not < 1")
+    # the sequence's disc check also refuses a nan modulus, which would fall
+    # through both branches below
+    x = abs2(VerblunskySequence(alphas).values)
     out = np.zeros(len(x))
 
     idx = np.flatnonzero((x > 0.0) & (x <= 0.5))
-    xs = x[idx]
-    term = np.float_power(xs, m + 1.0)
-    total = np.zeros(len(idx))
-    live = np.ones(len(idx), dtype=bool)
-    j = m + 1
-    while idx.size:
-        total += term / j
-        term *= xs
-        j += 1
-        stops = live & (term / j <= 1e-18 * total)
-        if stops.any():
-            out[idx[stops]] = total[stops]
-            live &= ~stops
-            if 2 * np.count_nonzero(live) < live.size:
-                idx, xs, term, total = idx[live], xs[live], term[live], total[live]
-                live = live[live]
+    J = np.ceil(math.log(1e-17) / np.log(x[idx])).astype(np.int64)
+    order = np.argsort(J, kind="stable")
+    idx, xs, J = idx[order], x[idx][order], J[order]
+    acc = np.zeros(len(idx))
+    for i in range(J.max(initial=0), -1, -1):
+        start = np.searchsorted(J, i)  # the entries from start on have J >= i
+        acc[start:] *= xs[start:]
+        acc[start:] += 1.0 / (m + 1 + i)
+    out[idx] = acc * np.float_power(xs, m + 1.0)
 
     large = x > 0.5
     xl = x[large]
@@ -106,10 +92,7 @@ def log_tails(alphas, m: int) -> np.ndarray:
 
 
 def log_tail(alpha, m: int) -> float:
-    """log(1/(1-|a|^2)) minus its first m Taylor terms; equals sum_{j>m} |a|^{2j}/j.
-
-    The one-entry case of log_tails.
-    """
+    """sum_{j>m} |a|^{2j}/j, the one-entry case of log_tails."""
     return float(log_tails([alpha], m)[0])
 
 
@@ -182,8 +165,5 @@ def decomposition_sweep(seq, m_list, n_list) -> list[DecompositionReport]:
 
 
 def decomposition_report(seq, m: int, N: int) -> DecompositionReport:
-    """Assemble K_proxy, Q, tail, power energy and residual for one (m, N).
-
-    The one-row case of decomposition_sweep.
-    """
+    """The one row of decomposition_sweep at (m, N)."""
     return decomposition_sweep(seq, [m], [N])[0]

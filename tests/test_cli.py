@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -89,8 +90,9 @@ class TestFamilies:
         assert FamilySpec(kind="random", seed=3, modulus_cap=0.5).to_dict() == {
             "kind": "random", "seed": 3, "modulus_cap": 0.5
         }
+        # the entries stay in their file; the sidecar records its digest
         assert FamilySpec(kind="explicit", values=(0.1j, -0.2)).to_dict() == {
-            "kind": "explicit", "values": [[0.0, 0.1], [-0.2, 0.0]]
+            "kind": "explicit", "length": 2
         }
 
 
@@ -171,6 +173,19 @@ class TestCliCommands:
         assert sorted(json.loads(text)) == ["family", "grid_size", "m_list", "n_list", "out", "seed"]
         # one line of sorted keys
         assert text.endswith("}\n") and text.count("\n") == 1
+
+    def test_explicit_sidecar_holds_the_digest_of_the_values_file(self, tmp_path):
+        values = tmp_path / "values.json"
+        values.write_text(json.dumps([[0.5 / (n + 1), 0.1] for n in range(2001)]))
+        out = tmp_path / "rows.csv"
+        args = ["sumrule", "report", "--family", "explicit", "--values", str(values)]
+        assert main(args + ["--n-list", "2000", "--out", str(out)]) == 0
+        text = (tmp_path / "rows.csv.config.json").read_text()
+        sidecar = json.loads(text)
+        assert sidecar["family"] == {"kind": "explicit", "length": 2001}
+        assert sidecar["values_file"] == str(values)
+        assert sidecar["values_sha256"] == hashlib.sha256(values.read_bytes()).hexdigest()
+        assert len(text.encode()) < 1024
 
     def test_sumrule_determinism(self, tmp_path):
         args = [
@@ -816,8 +831,8 @@ def test_non_finite_family_parameter_exits_2_before_numpy_runs(argv):
     "argv, message",
     [
         (["generate", "--family", "rotated", "--c", "0.5", "--beta", "1e308", "--n", "3"],
-         "|alpha_2| = nan is not < 1"),
-        (["generate", *POWER, "--gamma=-1000", "--n", "3"], "|alpha_1| = 5.357543035931337e+300"),
+         "|alpha_2|^2 = nan is not < 1"),
+        (["generate", *POWER, "--gamma=-1000", "--n", "3"], "|alpha_1|^2 = inf is not < 1"),
     ],
     ids=["beta-overflow", "gamma-divide-by-zero"],
 )
@@ -829,6 +844,21 @@ def test_overflowing_family_exits_2_without_a_warning(argv, message):
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: " + message)
+
+
+@pytest.mark.parametrize(
+    "action",
+    [["sumrule", "report", "--n-list", "0"], ["measure", "functional"], ["measure", "moments"]],
+    ids=["sumrule-report", "measure-functional", "measure-moments"],
+)
+def test_an_entry_whose_squared_modulus_rounds_to_one_exits_2(tmp_path, action):
+    """hypot put 0.4980560549172479+0.8671448357456021i inside the disc and
+    re*re + im*im at 1.0: `sumrule report` and `measure functional` exited 2
+    with `math domain error`, and `measure moments` printed moments of it."""
+    values = tmp_path / "edge.json"
+    values.write_text("[[0.4980560549172479, 0.8671448357456021]]")
+    code, out, err = run_cli([*action, "--family", "explicit", "--values", str(values)])
+    assert (code, out, err) == (2, "", "error: |alpha_0|^2 = 1.0 is not < 1\n")
 
 
 def test_underflowing_power_family_gives_its_zeros_without_a_warning():

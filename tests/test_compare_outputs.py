@@ -35,6 +35,17 @@ def test_command_parses(argv):
         assert info.value.code == code
 
 
+def test_csv_changes_give_the_largest_relative_change_per_column():
+    old = b"# opuckit 1\nm,N,Q,tail\n1,10,0.5,2.0\n1,20,1.0,4.0\n"
+    new = b"# opuckit 2\nm,N,Q,tail\n1,10,0.5,2.5\n1,20,1.0,5.0\n"
+    assert compare_outputs.csv_changes(old, new) == {"tail": 0.2}
+    assert compare_outputs.csv_changes(old, old) == {}
+    # 0.0 and -0.0 are one number; a label column is no number
+    assert compare_outputs.csv_changes(b"a,b\nx,0.0\n", b"a,b\ny,-0.0\n") == {}
+    assert compare_outputs.csv_changes(old, b"m,N,Q\n1,10,0.5\n1,20,1.0\n") is None
+    assert compare_outputs.csv_changes(old, old + b"1,30,1.5,6.0\n") is None
+
+
 def test_the_differences_name_every_differing_part():
     old = (0, b"row\n", b"", {"a.csv": b"1", "b.json": b"{}"})
     assert compare_outputs.differences(old, old) == []

@@ -1,12 +1,14 @@
 """numpy's hypot and float_power must give Python's abs(complex) and ** bit for bit.
 
-log_tails, lp_norm and VerblunskySequence replace per-entry abs(a) and
-x ** p with np.hypot and np.float_power and promise the same floats as the
-scalar loops they replaced.  That holds because both sides call the same
-libm hypot and pow; a numpy build that routes these ufuncs through its own
-vector code would break it, and these tests then fail before any report
-changes silently.  (np.abs on complex arrays and np.power already do differ
-from abs and ** in the last bit for a large share of inputs.)
+Two libm calls remain in array form, each promising the floats of a scalar
+loop: np.float_power for x ** p in sum_rule.log_tails and
+sequences.lp_norm, and np.hypot for abs(complex) of the running sums in
+absorption._monomial_sums.  That holds
+because both sides call the same libm pow and hypot; a numpy build that
+routes these ufuncs through its own vector code would break it, and these
+tests then fail before any report changes silently.  (np.abs on complex
+arrays and np.power already do differ from abs and ** in the last bit for
+a large share of inputs.)
 """
 
 import math

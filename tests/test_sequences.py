@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opuckit.measures import szego_functional_series
 from opuckit.sequences import (
     ModulusError,
     VerblunskySequence,
@@ -16,6 +17,7 @@ from opuckit.sequences import (
     lukic_partial_sums,
     zero_extended,
 )
+from opuckit.sum_rule import log_tails
 
 from helpers import entry, forward_difference, lp_norm_loop, polar_prefix
 
@@ -58,23 +60,51 @@ class TestConstruction:
             VerblunskySequence((1.0 + 0j,))
         VerblunskySequence((0.999999,))
 
-    # each message is the one the entry-by-entry abs(v) < 1 check gave
+    # each message names the squared modulus re*re + im*im that the check reads
     @pytest.mark.parametrize(
         "values, message",
         [
-            ((0.1, 1.0, 2.0), "|alpha_1| = 1.0 is not < 1"),
-            ((0.6 + 0.8j,), "|alpha_0| = 1.0 is not < 1"),
-            ((0.1, math.nan), "|alpha_1| = nan is not < 1"),
-            ((complex(0.2, math.nan), 0.5), "|alpha_0| = nan is not < 1"),
-            ((math.inf,), "|alpha_0| = inf is not < 1"),
-            ((complex(math.nan, -math.inf),), "|alpha_0| = inf is not < 1"),
-            ((-1e-300, 0.3 - 1.2j), "|alpha_1| = 1.236931687685298 is not < 1"),
+            ((0.1, 1.0, 2.0), "|alpha_1|^2 = 1.0 is not < 1"),
+            ((0.6 + 0.8j,), "|alpha_0|^2 = 1.0 is not < 1"),
+            ((0.1, math.nan), "|alpha_1|^2 = nan is not < 1"),
+            ((complex(0.2, math.nan), 0.5), "|alpha_0|^2 = nan is not < 1"),
+            ((math.inf,), "|alpha_0|^2 = inf is not < 1"),
+            ((complex(math.nan, -math.inf),), "|alpha_0|^2 = nan is not < 1"),
+            ((-1e-300, 0.3 - 1.2j), "|alpha_1|^2 = 1.53 is not < 1"),
         ],
     )
     def test_rejects_the_first_entry_off_the_open_disc(self, values, message):
         with pytest.raises(ModulusError) as err:
             VerblunskySequence(values)
         assert str(err.value) == message
+
+    # hypot puts this entry inside the disc, but re*re + im*im rounds to 1.0:
+    # a check on hypot let it through to log1p(-1.0), a math domain error
+    EDGE = 0.4980560549172479 + 0.8671448357456021j
+
+    def test_rejects_an_entry_whose_squared_modulus_rounds_to_one(self):
+        assert math.hypot(self.EDGE.real, self.EDGE.imag) < 1.0
+        with pytest.raises(ModulusError, match=r"^\|alpha_0\|\^2 = 1.0 is not < 1$"):
+            VerblunskySequence((self.EDGE,))
+
+    @settings(FIXED, max_examples=200)
+    @given(
+        modulus=st.one_of(
+            st.floats(min_value=1.0 - 1e-12, max_value=1.0),
+            st.sampled_from([math.nextafter(1.0, 0.0), math.nextafter(1.0 - 2**-53, 0.0)]),
+            st.floats(min_value=0.0, max_value=1.0),
+        ),
+        angle=st.floats(min_value=0.0, max_value=2 * math.pi),
+        m=st.integers(1, 8),
+    )
+    def test_every_accepted_entry_has_a_finite_tail_and_functional(self, modulus, angle, m):
+        a = complex(modulus * math.cos(angle), modulus * math.sin(angle))
+        try:
+            seq = VerblunskySequence((a,))
+        except ModulusError:
+            return
+        assert math.isfinite(log_tails(seq.values, m)[0])
+        assert math.isfinite(szego_functional_series(seq, m, [0])[(m, 0)])
 
     def test_accepts_one_ulp_inside_the_circle(self):
         below = math.nextafter(1.0, 0.0)

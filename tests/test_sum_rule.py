@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,27 +199,92 @@ class TestLogTail:
         assert lower * (1 - self.BOUND_RTOL) <= tail <= upper * (1 + self.BOUND_RTOL)
 
 
+def square_modulus(a):
+    """re*re + im*im, the x = |a|^2 that log_tails reads."""
+    return a.real * a.real + a.imag * a.imag
+
+
 def log_tail_loop(alpha, m):
-    """The entry-by-entry tail formula that log_tails vectorises."""
-    x = abs(alpha) ** 2
+    """The entry-by-entry tail formula that log_tails vectorises.
+
+    At and below x = 1/2 a scalar Horner loop over J + 1 terms; J takes
+    np.log, as log_tails does, since math.log may differ from it in the last
+    bit and move J by one at a boundary.
+    """
+    x = square_modulus(alpha)
     if x == 0.0:
         return 0.0
     if x <= 0.5:
-        term = x ** (m + 1)
-        j = m + 1
-        total = 0.0
-        while True:
-            total += term / j
-            term *= x
-            j += 1
-            if term / j <= 1e-18 * total:
-                return total
+        J = math.ceil(math.log(1e-17) / float(np.log(np.float64(x))))
+        acc = 0.0
+        for i in range(J, -1, -1):
+            acc = acc * x + 1.0 / (m + 1 + i)
+        return acc * x ** (m + 1.0)
     partial = 0.0
     p = 1.0
     for k in range(1, m + 1):
         p *= x
         partial += p / k
     return -math.log1p(-x) - partial
+
+
+U = 2.0**-53
+ETA = 2.0**-1074
+
+
+def gamma(k):
+    return k * U / (1 - k * U)
+
+
+def tail_reference(x, m):
+    """(sum_{j>m} x^j/j, -log(1-x), sum_{k<=m} x^k/k) at the float x, to 60 digits.
+
+    The tail is the series at and below x = 1/2 and the closed form above.
+    """
+    with mpmath.workdps(60):
+        X = mpmath.mpf(x)
+        L = -mpmath.log1p(-X)
+        P = sum(X**k / k for k in range(1, m + 1))
+        if x > 0.5:
+            return L - P, L, P
+        term, total, j = X ** (m + 1), mpmath.mpf(0), m + 1
+        while term > total * mpmath.mpf(10) ** -60:
+            total += term / j
+            term *= X
+            j += 1
+        return total, L, P
+
+
+class TestTailBound:
+    """Every tail lies within the bound log_tails states of a 60-digit value on the same x."""
+
+    @settings(FIXED, max_examples=400)
+    @given(
+        modulus=st.one_of(
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+            st.floats(min_value=1e-160, max_value=1e-4),
+            st.floats(min_value=0.999, max_value=1.0, exclude_max=True),
+            st.sampled_from([math.sqrt(0.5), math.nextafter(math.sqrt(0.5), 0.0), 5e-324, 1e-155]),
+        ),
+        angle=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2 * math.pi)),
+        m=st.integers(1, 8),
+    )
+    def test_within_the_stated_bound_of_mpmath(self, modulus, angle, m):
+        a = complex(modulus * math.cos(angle), modulus * math.sin(angle))
+        x = square_modulus(a)
+        if not 0.0 < x < 1.0:
+            return
+        got = log_tails([a], m)[0]
+        exact, L, P = tail_reference(x, m)
+        with mpmath.workdps(60):
+            if x <= 0.5:
+                J = math.ceil(math.log(1e-17) / float(np.log(np.float64(x))))
+                X = mpmath.mpf(x)
+                truncation = X ** (m + J + 2) / ((m + J + 2) * (1 - X))
+                bound = gamma(2 * J + 4) * exact + truncation + 2 * ETA
+            else:
+                bound = 2 * U * L + gamma(m + 1) * P + U * abs(got)
+            assert abs(mpmath.mpf(got) - exact) <= bound
 
 
 class _WriteLog(np.ndarray):
@@ -287,7 +353,7 @@ class TestLogTails:
     )
     def test_equals_the_loop_bit_for_bit(self, entries, m):
         alphas = [r * complex(math.cos(t), math.sin(t)) for r, t in entries]
-        alphas = [a for a in alphas if abs(a) < 1.0]
+        alphas = [a for a in alphas if square_modulus(a) < 1.0]
         got = log_tails(alphas, m)
         assert [v.hex() for v in got.tolist()] == [log_tail_loop(a, m).hex() for a in alphas]
 
@@ -316,14 +382,14 @@ class TestLogTails:
     )
     def test_each_entry_is_written_once_with_the_loop_value(self, entries, m):
         alphas = [r * complex(math.cos(t), math.sin(t)) for r, t in entries]
-        alphas = [a for a in alphas if abs(a) < 1.0]
+        alphas = [a for a in alphas if square_modulus(a) < 1.0]
         log = _WriteLoggingNumpy()
         with mock.patch.object(sum_rule, "np", log):
             got = log_tails(alphas, m)
         assert [v.hex() for v in got.tolist()] == [log_tail_loop(a, m).hex() for a in alphas]
         # entries with x = |a|^2 = 0 keep the zero they start with, unwritten
         assert len(log.writes) == len(set(log.writes))
-        assert set(log.writes) == {i for i, a in enumerate(alphas) if abs(a) ** 2 > 0}
+        assert set(log.writes) == {i for i, a in enumerate(alphas) if square_modulus(a) > 0}
 
     @pytest.mark.parametrize(
         "spec, m",
@@ -353,9 +419,9 @@ class TestLogTails:
     )
     def test_nan_entry_is_refused(self, alpha):
         # a nan modulus fails x >= 1 as well as x <= 1/2, and read as tail 0
-        with pytest.raises(ValueError, match=r"^\|alpha\| = nan is not < 1$"):
+        with pytest.raises(ValueError, match=r"^\|alpha_0\|\^2 = nan is not < 1$"):
             log_tail(alpha, 2)
-        with pytest.raises(ValueError, match=r"^\|alpha\| = nan is not < 1$"):
+        with pytest.raises(ValueError, match=r"^\|alpha_1\|\^2 = nan is not < 1$"):
             log_tails([0.1, alpha], 2)
 
 class TestDecompositionReport:
