@@ -6,8 +6,8 @@ Layers, bottom up: Verblunsky sequences and the difference calculus
 exact shift-variable Laurent algebra with diagonal-ideal membership
 (shift_algebra), difference normal forms and their pointwise check
 (normal_form), the computable sum-rule pieces (sum_rule), the quartic PSD
-Gram block (psd_quartic), interpolation exponent budgets (absorption), and
-the sweep CLI (cli).
+Gram block (psd_quartic), interpolation exponents and absorption probes
+(absorption), the `verify` suites (suites), and the sweep CLI (cli).
 """
 
 __version__ = "0.1.0"
@@ -21,7 +21,6 @@ from .absorption import (
     fit_absorption_constant,
     gn_exponent,
     gn_ratio_probe,
-    holder_budget,
 )
 from .families import FamilySpec
 from .measures import (
@@ -48,7 +47,6 @@ from .psd_quartic import (
     multi_indices,
     pm_polynomial,
     psd_certificate,
-    raw_m2_failure_exhibit,
 )
 from .rationals import GaussianRational
 from .sequences import (

@@ -1,4 +1,4 @@
-"""Interpolation exponents, Holder budgets and empirical absorption probes.
+"""Interpolation exponents and empirical absorption probes.
 
 The exponent ladder p_r = 2(m+1)/(r+1) interpolates between the power
 energy (r = 0, p = 2m+2) and the difference energy (r = m, p = 2).  For a
@@ -9,9 +9,9 @@ of the norms only when the reciprocals add up to at least 1.  On plane
 waves a_n = r e^{irn} at m = k = 2 the m+1-k monomial sums to about 1/(2r)
 times the diff + power energy, unbounded as r -> 0, so it is not
 absorbable; with 2(m+1-k) differences the budget is 1 and the ratio stays
-near 1/2 (tests/test_absorption.py).  The budgets are exact rational
-arithmetic; the probes here only record empirical maxima over declared
-families.
+near 1/2 (tests/test_absorption.py).  The exponents are exact rationals,
+and the budget arithmetic is a test oracle (tests/helpers.py); the probes
+here only record empirical maxima over declared families.
 """
 
 from __future__ import annotations
@@ -31,23 +31,6 @@ def gn_exponent(m: int, r: int) -> Fraction:
     if not 0 <= r <= m:
         raise ValueError(f"r = {r} out of range 0..{m}")
     return Fraction(2 * (m + 1), r + 1)
-
-
-def holder_budget(m: int, k: int, orders) -> Fraction:
-    """Exact exponent budget sum 1/p_{a_nu} + sum 1/p_{b_mu}.
-
-    Each reciprocal is (order+1)/(2(m+1)), so for total order m+1-k the sum
-    is (m+1+k)/(2(m+1)), below 1 for 2 <= k <= m: on Z, short of the 1 that
-    Holder needs.  Total order 2(m+1-k) gives exactly 1.
-    """
-    if not 2 <= k <= m:
-        raise ValueError(f"need 2 <= k <= m, got k={k}, m={m}")
-    orders = tuple(int(o) for o in orders)
-    if len(orders) != 2 * k:
-        raise ValueError(f"need 2k = {2 * k} orders")
-    if any(o < 0 for o in orders):
-        raise ValueError("orders must be nonnegative")
-    return Fraction(sum(o + 1 for o in orders), 2 * (m + 1))
 
 
 def critical_orders(m: int, k: int) -> list[int]:
@@ -72,8 +55,7 @@ def gn_ratio_probe(seq, m: int, r: int, N: int) -> float:
     """
     if not 0 < r < m:
         raise ValueError("need 0 < r < m")
-    if not isinstance(seq, VerblunskySequence):
-        seq = VerblunskySequence(seq)
+    seq = VerblunskySequence(seq)
     # the probe reads a_0..a_{N+2m}; entries past them do not count
     if not seq.values[: N + 2 * m + 1].any():
         raise ValueError("probe needs a nonzero sequence")

@@ -54,8 +54,7 @@ class MeasureSpec:
 
     @classmethod
     def bernstein_szego(cls, prefix) -> "MeasureSpec":
-        if not isinstance(prefix, VerblunskySequence):
-            prefix = VerblunskySequence(prefix)
+        prefix = VerblunskySequence(prefix)
         return cls(kind="bernstein_szego", prefix=prefix)
 
     @classmethod
@@ -144,8 +143,7 @@ def bernstein_szego_weight(prefix, grid_size: int = DEFAULT_GRID) -> np.ndarray:
     Raises if the samples underflow to zero; use szego_functional for long
     prefixes, it never leaves log space.
     """
-    if not isinstance(prefix, VerblunskySequence):
-        prefix = VerblunskySequence(prefix)
+    prefix = VerblunskySequence(prefix)
     with np.errstate(under="ignore", over="ignore"):
         w = np.exp(_log_weight(prefix, grid_size))
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
@@ -273,8 +271,7 @@ def szego_functional_series(prefix, m_max: int, checkpoints) -> dict:
             f"m_max must be <= {MAX_SERIES_ORDER}, past which C(2m, m)/2^m "
             f"overflows a float; got {m_max}"
         )
-    if not isinstance(prefix, VerblunskySequence):
-        prefix = VerblunskySequence(prefix)
+    prefix = VerblunskySequence(prefix)
     wanted = sorted({int(N) for N in checkpoints})
     if wanted and wanted[0] < 0:
         raise ValueError("checkpoints must be >= 0")

@@ -58,12 +58,13 @@ class GramBlock:
         expected = math.comb(self.m + 1, 2)
         if n != expected:
             raise ValueError(f"dimension {n} != C(m+1, 2) = {expected}")
-        for i in range(n):
-            if len(self.entries[i]) != n:
-                raise ValueError("entries must be square")
-            for j in range(n):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError(f"asymmetric at ({i},{j})")
+        if any(len(row) != n for row in self.entries):
+            raise ValueError("entries must be square")
+        # row i against column i; one object per symmetric pair compares by identity
+        for i, (row, col) in enumerate(zip(self.entries, zip(*self.entries))):
+            if tuple(row) != col:
+                j = next(j for j, (x, y) in enumerate(zip(row, col)) if x != y)
+                raise ValueError(f"asymmetric at ({i},{j})")
 
     @property
     def dim(self) -> int:
@@ -374,31 +375,4 @@ def psd_certificate(block) -> PsdCertificate:
         prev = d
     return PsdCertificate(
         certified=True, pivots=tuple(pivots), permutation=tuple(permutation)
-    )
-
-
-@dataclass(frozen=True)
-class RawQuarticExhibit:
-    """The documented 2x2 obstruction matrix for the raw quartic representative at m = 2."""
-
-    entries: tuple
-    is_symmetric: bool
-    asymmetry: tuple  # (entry (0,1), entry (1,0))
-
-
-def raw_m2_failure_exhibit() -> RawQuarticExhibit:
-    """Constants of the raw m = 2 representative; no derivation is attempted.
-
-    The matrix is asymmetric (5/12 vs 1/2), which is the documented
-    obstruction: the raw bihomogeneous component admits no symmetric
-    representative under the linearized quotient constraint.
-    """
-    entries = (
-        (Fraction(5, 6), Fraction(5, 12)),
-        (Fraction(1, 2), Fraction(1, 12)),
-    )
-    return RawQuarticExhibit(
-        entries=entries,
-        is_symmetric=entries[0][1] == entries[1][0],
-        asymmetry=(entries[0][1], entries[1][0]),
     )

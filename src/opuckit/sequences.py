@@ -36,11 +36,17 @@ def complex_pairs(obj, name: str = "values") -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class VerblunskySequence:
-    """Finite complex sequence with all moduli strictly below 1, as a read-only complex128 copy."""
+    """Finite complex sequence with all moduli strictly below 1, as a read-only complex128 copy.
+
+    Built from another VerblunskySequence, it shares that one's checked array.
+    """
 
     values: np.ndarray = ()
 
     def __post_init__(self):
+        if isinstance(self.values, VerblunskySequence):
+            object.__setattr__(self, "values", self.values.values)
+            return
         vals = np.array(self.values, dtype=np.complex128)
         if vals.ndim != 1:
             raise TypeError("values must be a flat sequence of numbers")

@@ -1,12 +1,13 @@
 """Named verification suites behind `opuckit verify`, one per link of the chain.
 
-Each check is a callable returning (passed, detail).  The suites check the
-links of the sum rule: `gram` the PSD quartic block, `normalform` the exact
-normal form of the remainders, `measures` the weighted log functional K_m,
-`sumrule` the difference energy, the log tail and the m = 1 closure, and
-`absorb` the exponents that absorb the remainders.  Generic identities of
-the building blocks are checked by `tests/` alone, which shares the random
-construction helpers defined here.
+Each check is a callable returning (passed, detail) on values the program
+computes, so a corrupted value can fail it.  The suites check the links of
+the sum rule: `gram` the PSD quartic block, `normalform` the exact normal
+form of the remainders, `measures` the weighted log functional K_m, and
+`sumrule` the difference energy, the log tail and the m = 1 closure.  No
+suite checks the absorbable remainders: the exponent arithmetic is held by
+unit tests.  Generic identities of the building blocks are checked by
+`tests/` alone, which shares the random construction helpers defined here.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import absorption, measures, normal_form, psd_quartic, sum_rule
+from . import measures, normal_form, psd_quartic, sum_rule
 from .rationals import GaussianRational
 from .sequences import VerblunskySequence, lukic_partial_sums
 from .shift_algebra import (
@@ -96,17 +97,6 @@ def _gram_checks() -> list[Check]:
         checks.append((f"gram.identity.m{m}", identity(m)))
     for m in range(1, 11):
         checks.append((f"gram.certify.m{m}", certify(m)))
-
-    def exhibit():
-        ex = psd_quartic.raw_m2_failure_exhibit()
-        ok = (
-            ex.entries[0] == (Fraction(5, 6), Fraction(5, 12))
-            and ex.entries[1] == (Fraction(1, 2), Fraction(1, 12))
-            and not ex.is_symmetric
-        )
-        return ok, f"asymmetry {ex.asymmetry}"
-
-    checks.append(("gram.raw_m2_exhibit", exhibit))
     return checks
 
 
@@ -224,41 +214,11 @@ def _sumrule_checks() -> list[Check]:
     return checks
 
 
-def _absorb_checks() -> list[Check]:
-    checks: list[Check] = []
-
-    def exponents():
-        for m in range(1, 13):
-            if absorption.gn_exponent(m, 0) != Fraction(2 * m + 2):
-                return False, f"p_0 != 2m+2 at m={m}"
-            if absorption.gn_exponent(m, m) != 2:
-                return False, f"p_m != 2 at m={m}"
-            for r in range(m):
-                if absorption.gn_exponent(m, r) <= absorption.gn_exponent(m, r + 1):
-                    return False, f"p_r not decreasing at m={m}, r={r}"
-        return True, "exponent ladder exact, m <= 12"
-
-    checks.append(("absorb.exponents", exponents))
-
-    def budgets():
-        for m in range(2, 13):
-            for k in range(2, m + 1):
-                budget = absorption.holder_budget(m, k, absorption.critical_orders(m, k))
-                expected = Fraction(m + 1 + k, 2 * (m + 1))
-                if budget != expected or budget >= 1:
-                    return False, f"budget mismatch at m={m}, k={k}"
-        return True, "budgets exactly (m+1+k)/(2(m+1)), short of Holder's 1 on Z, 2 <= k <= m <= 12"
-
-    checks.append(("absorb.budgets", budgets))
-    return checks
-
-
 SUITES = {
     "gram": _gram_checks,
     "normalform": _normalform_checks,
     "measures": _measures_checks,
     "sumrule": _sumrule_checks,
-    "absorb": _absorb_checks,
 }
 
 

@@ -139,15 +139,15 @@ def decomposition_sweep(seq, m_list, n_list) -> list[DecompositionReport]:
         )
     if n_list[0] < 0:
         raise ValueError("N must be >= 0")
-    if not isinstance(seq, VerblunskySequence):
-        seq = VerblunskySequence(seq)
+    seq = VerblunskySequence(seq)
     K = szego_functional_series(seq, m_list[-1], n_list)
-    padded = zero_extended(seq, 0, n_list[-1] + 1)
+    # checked once here; log_tails shares its array at every order
+    padded = VerblunskySequence(zero_extended(seq, 0, n_list[-1] + 1))
     rows = []
     for m in m_list:
         tails = np.cumsum(log_tails(padded, m))
         for N in n_list:
-            energy = lukic_partial_sums(padded[: N + 1], m, N)
+            energy = lukic_partial_sums(padded.values[: N + 1], m, N)
             Q = energy.diff_energy / 2.0**m
             tail = float(tails[N])
             rows.append(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -210,6 +211,50 @@ def bumped_block(m: int) -> GramBlock:
     return GramBlock(m=m, entries=tuple(tuple(row) for row in rows))
 
 
+@dataclass(frozen=True)
+class RawQuarticExhibit:
+    """The documented 2x2 obstruction matrix for the raw quartic representative at m = 2."""
+
+    entries: tuple
+    is_symmetric: bool
+    asymmetry: tuple  # (entry (0,1), entry (1,0))
+
+
+def raw_m2_failure_exhibit() -> RawQuarticExhibit:
+    """Constants of the raw m = 2 representative; no derivation is attempted.
+
+    The matrix is asymmetric (5/12 vs 1/2), which is the documented
+    obstruction: the raw bihomogeneous component admits no symmetric
+    representative under the linearized quotient constraint.
+    """
+    entries = (
+        (Fraction(5, 6), Fraction(5, 12)),
+        (Fraction(1, 2), Fraction(1, 12)),
+    )
+    return RawQuarticExhibit(
+        entries=entries,
+        is_symmetric=entries[0][1] == entries[1][0],
+        asymmetry=(entries[0][1], entries[1][0]),
+    )
+
+
+def holder_budget(m: int, k: int, orders) -> Fraction:
+    """Exact exponent budget sum 1/p_{a_nu} + sum 1/p_{b_mu}.
+
+    Each reciprocal is (order+1)/(2(m+1)), so for total order m+1-k the sum
+    is (m+1+k)/(2(m+1)), below 1 for 2 <= k <= m: on Z, short of the 1 that
+    Holder needs.  Total order 2(m+1-k) gives exactly 1.
+    """
+    if not 2 <= k <= m:
+        raise ValueError(f"need 2 <= k <= m, got k={k}, m={m}")
+    orders = tuple(int(o) for o in orders)
+    if len(orders) != 2 * k:
+        raise ValueError(f"need 2k = {2 * k} orders")
+    if any(o < 0 for o in orders):
+        raise ValueError("orders must be nonnegative")
+    return Fraction(sum(o + 1 for o in orders), 2 * (m + 1))
+
+
 def quadratic_form_complex(seq, m: int, N: int) -> complex:
     """sum_{n=0}^{N} sum_l h_{m,l} a_{n+l} conj(a_n), imaginary part kept.
 
@@ -244,8 +289,7 @@ def schur_series_loop(prefix, m_max: int, checkpoints) -> dict:
     b_0 = z, b_{n+1} = z (b_n - conj a_n) / (1 - a_n b_n) on Python complex
     power series truncated at degree m_max, log phi*_{N+1} = sum log(1 - a_n b_n).
     """
-    if not isinstance(prefix, VerblunskySequence):
-        prefix = VerblunskySequence(tuple(prefix))
+    prefix = VerblunskySequence(prefix)
     wanted = sorted({int(N) for N in checkpoints})
     M = m_max
     h = [[float(hm_closed_form(m, ell)) for ell in range(m + 1)] for m in range(M + 1)]
@@ -371,8 +415,7 @@ def szego_recursion_polynomials(prefix, z: complex) -> tuple[complex, complex]:
     z = complex(z)
     if abs(abs(z) - 1.0) > 1e-12:
         raise ValueError(f"|z| = {abs(z)} is off the unit circle beyond 1e-12")
-    if not isinstance(prefix, VerblunskySequence):
-        prefix = VerblunskySequence(tuple(prefix))
+    prefix = VerblunskySequence(prefix)
     phi = 1.0 + 0j
     phistar = 1.0 + 0j
     for a in prefix.values:

@@ -11,14 +11,13 @@ from opuckit.absorption import (
     fit_absorption_constant,
     gn_exponent,
     gn_ratio_probe,
-    holder_budget,
     monomial_sum,
     shift_allowance,
 )
 from opuckit.normal_form import NormalFormMonomial
 from opuckit.sequences import VerblunskySequence, lukic_partial_sums
 
-from helpers import random_float_sequence
+from helpers import holder_budget, random_float_sequence
 
 
 class TestExponents:

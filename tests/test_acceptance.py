@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from opuckit.absorption import critical_orders, gn_exponent, holder_budget
+from opuckit.absorption import critical_orders, gn_exponent
 from opuckit.families import FamilySpec
 from opuckit.measures import MeasureSpec, trig_moments
 from opuckit.normal_form import pointwise_equality_check
@@ -22,7 +22,6 @@ from opuckit.psd_quartic import (
     gram_identity_check,
     pm_polynomial,
     psd_certificate,
-    raw_m2_failure_exhibit,
 )
 from opuckit.sequences import VerblunskySequence, lukic_partial_sums
 from opuckit.shift_algebra import vanishing_order
@@ -40,6 +39,8 @@ from helpers import (
     euler_moment,
     gram_quadrature,
     hm_ring_coeffs,
+    holder_budget,
+    raw_m2_failure_exhibit,
     symbol_quadratic_form,
     verblunsky_from_moments,
 )

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opuckit import _kernels, cli, measures, psd_quartic
+from opuckit import _kernels, cli, measures, normal_form, psd_quartic, sum_rule
 from opuckit.absorption import critical_orders, gn_ratio_probe, monomial_sum
 from opuckit.cli import GRAM_MAX_ORDER, main
 from opuckit.families import FamilySpec
@@ -271,7 +272,7 @@ class TestCliCommands:
 
     def test_verify_all_runs_every_check_of_the_chain(self, capsys):
         assert main(["verify", "--suite", "all"]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == "40/40 checks passed"
+        assert capsys.readouterr().out.splitlines()[-1] == "37/37 checks passed"
 
     def test_absorb_probe_gn(self, tmp_path):
         out = tmp_path / "probe.csv"
@@ -450,7 +451,7 @@ class TestCliCommands:
         assert val["value"] == pytest.approx(-math.log(2.0), abs=1e-15)
 
     def test_verify_selected_suite(self, capsys):
-        assert main(["verify", "--suite", "absorb"]) == 0
+        assert main(["verify", "--suite", "measures"]) == 0
         out = capsys.readouterr().out
         assert "checks passed" in out
 
@@ -932,6 +933,55 @@ def test_suite_check_passes(name):
     assert ok, detail
 
 
+def test_verify_unknown_suite_exits_2_naming_the_four(capsys):
+    assert main(["verify", "--suite", "absorb"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: unknown suite 'absorb'; choose from "
+        "['gram', 'normalform', 'measures', 'sumrule'] or 'all'"
+    ]
+
+
+def _double_first_coefficient(from_ideal_expansion):
+    def corrupted(decomposition):
+        first, *rest = from_ideal_expansion(decomposition)
+        return [dataclasses.replace(first, coeff=first.coeff * 2), *rest]
+
+    return corrupted
+
+
+def _shifted_series(series):
+    def corrupted(*args):
+        return {key: value + 1e-6 for key, value in series(*args).items()}
+
+    return corrupted
+
+
+# every suite has a check that one corrupted value fails; a check that cannot
+# fail restates a unit test and has no place in `verify`
+@pytest.mark.parametrize(
+    "suite, module, name, corrupt, failing",
+    [
+        ("gram", psd_quartic, "gram_closed_form", lambda f: bumped_block, "gram.certify.m2"),
+        ("normalform", normal_form, "from_ideal_expansion", _double_first_coefficient,
+         "normalform.pointwise.k2.q2"),
+        ("measures", measures, "szego_functional_series", _shifted_series,
+         "measures.series_oracle"),
+        ("sumrule", sum_rule, "log_tail", lambda f: lambda alpha, m: 0.0,
+         "sumrule.log_tail_bound"),
+    ],
+    ids=["gram", "normalform", "measures", "sumrule"],
+)
+def test_each_suite_fails_on_one_corrupted_value(monkeypatch, suite, module, name, corrupt,
+                                                  failing):
+    checks = dict(SUITES[suite]())
+    assert checks[failing]()[0]
+    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+    ok, detail = checks[failing]()
+    assert not ok, detail
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -956,7 +1006,7 @@ class TestConfigErrors:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"gird": 64}))
         with pytest.raises(SystemExit) as info:
-            main(["--config", str(cfg), "verify", "--suite", "absorb"])
+            main(["--config", str(cfg), "verify", "--suite", "measures"])
         assert info.value.code == 2
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if "error:" in line]
@@ -994,7 +1044,7 @@ class TestConfigErrors:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         with pytest.raises(SystemExit) as info:
-            main(["--config", str(cfg), "verify", "--suite", "absorb"])
+            main(["--config", str(cfg), "verify", "--suite", "measures"])
         assert info.value.code == 2
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if "error:" in line]
@@ -1013,9 +1063,9 @@ class TestConfigErrors:
              "opuckit generate: error: argument --seed: invalid int value: '1.5'"),
             ({"m": True}, ["measure", "functional", "--family", "constant", "--c", "0.5"],
              "opuckit: error: argument --config: 'm' must be a string or a number"),
-            ({"grid": None}, ["verify", "--suite", "absorb"],
+            ({"grid": None}, ["verify", "--suite", "measures"],
              "opuckit: error: argument --config: 'grid' must be a string or a number"),
-            ({"grid": {"n": 1}}, ["verify", "--suite", "absorb"],
+            ({"grid": {"n": 1}}, ["verify", "--suite", "measures"],
              "opuckit: error: argument --config: 'grid' must be a string or a number"),
         ],
         ids=["scoped-float-int", "scoped-list", "flat-float-int", "boolean", "null", "object"],
@@ -1051,7 +1101,7 @@ class TestConfigErrors:
         # --grid and --n-list belong to other subcommands, not to verify
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grid": 64, "n-list": "10,20"}))
-        assert main(["--config", str(cfg), "verify", "--suite", "absorb"]) == 0
+        assert main(["--config", str(cfg), "verify", "--suite", "measures"]) == 0
         assert "checks passed" in capsys.readouterr().out
 
     def test_equals_form_applies_the_file(self, tmp_path, capsys):
@@ -1064,7 +1114,7 @@ class TestConfigErrors:
         assert main([f"--config={cfg}", "sumrule", "report", *family, "--out", str(out)]) == 0
         assert json.loads((tmp_path / "rows.csv.config.json").read_text())["grid_size"] == 256
         with pytest.raises(SystemExit) as info:
-            main([f"--config={bad}", "verify", "--suite", "absorb"])
+            main([f"--config={bad}", "verify", "--suite", "measures"])
         assert info.value.code == 2
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if "error:" in line]
@@ -1076,7 +1126,7 @@ class TestConfigErrors:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grid": 256}))
         with pytest.raises(SystemExit) as info:
-            main(["--conf", str(cfg), "verify", "--suite", "absorb"])
+            main(["--conf", str(cfg), "verify", "--suite", "measures"])
         assert info.value.code == 2
         captured = capsys.readouterr()
         errors = [line for line in captured.err.splitlines() if "error:" in line]
@@ -1147,9 +1197,9 @@ class TestSharedParser:
         monkeypatch.setattr(cli, "build_parser", counting_build_parser)
         cli._shared_parser.cache_clear()
         for _ in range(3):
-            assert main(["verify", "--suite", "absorb"]) == 0
+            assert main(["verify", "--suite", "measures"]) == 0
         assert len(built) == 1
         cfg = self.config(tmp_path, "cfg.json", {"grid": 256})
         for _ in range(2):
-            assert main([*cfg, "verify", "--suite", "absorb"]) == 0
+            assert main([*cfg, "verify", "--suite", "measures"]) == 0
         assert len(built) == 3

@@ -20,11 +20,10 @@ from opuckit.psd_quartic import (
     multinomial,
     pm_polynomial,
     psd_certificate,
-    raw_m2_failure_exhibit,
 )
 from opuckit.shift_algebra import ShiftPolynomial
 
-from helpers import bumped_block, gram_quadrature
+from helpers import bumped_block, gram_quadrature, raw_m2_failure_exhibit
 
 
 def pm_integral_oracle(m, u, v, t, nodes=None):
@@ -257,8 +256,28 @@ class TestGram:
         ]
 
     def test_dimension_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^dimension 1 != C\(m\+1, 2\) = 3$"):
             GramBlock(m=2, entries=((Fraction(1),),))
+
+    def test_ragged_rows_are_refused(self):
+        # a short last row once raised IndexError in the symmetry scan
+        with pytest.raises(ValueError, match="square"):
+            GramBlock(m=2, entries=((1, 2, 3), (2, 5, 6), (3,)))
+        with pytest.raises(ValueError, match="square"):
+            GramBlock(m=2, entries=((1, 2), (2, 5, 6), (3, 6, 7)))
+
+    @pytest.mark.parametrize(
+        "bumped, first", [((0, 1), (0, 1)), ((1, 0), (0, 1)), ((2, 1), (1, 2)), ((0, 2), (0, 2))]
+    )
+    def test_asymmetry_names_its_first_pair_in_row_major_order(self, bumped, first):
+        rows = [list(row) for row in gram_closed_form(2).entries]
+        rows[bumped[0]][bumped[1]] += Fraction(1, 7)
+        with pytest.raises(ValueError, match=rf"^asymmetric at \({first[0]},{first[1]}\)$"):
+            GramBlock(m=2, entries=tuple(tuple(row) for row in rows))
+
+    def test_rows_given_as_lists_are_accepted(self):
+        block = gram_closed_form(3)
+        assert GramBlock(m=3, entries=[list(row) for row in block.entries]).dim == 6
 
 
 class TestPsdCertificate:

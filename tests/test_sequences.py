@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opuckit import sequences
 from opuckit.measures import szego_functional_series
 from opuckit.sequences import (
     ModulusError,
@@ -103,7 +104,7 @@ class TestConstruction:
             seq = VerblunskySequence((a,))
         except ModulusError:
             return
-        assert math.isfinite(log_tails(seq.values, m)[0])
+        assert math.isfinite(log_tails(seq, m)[0])
         assert math.isfinite(szego_functional_series(seq, m, [0])[(m, 0)])
 
     def test_accepts_one_ulp_inside_the_circle(self):
@@ -163,6 +164,19 @@ class TestValueSemantics:
     def test_a_sequence_rebuilt_from_its_values_is_equal(self):
         seq = VerblunskySequence((0.1 + 0.3j, -0.5j, 0.25))
         assert VerblunskySequence(seq.values) == seq
+
+    def test_a_sequence_built_from_a_sequence_shares_its_checked_array(self, monkeypatch):
+        seq = VerblunskySequence((0.1 + 0.3j, -0.5j, 0.25))
+        # no second disc check: abs2 is what the check reads
+        monkeypatch.setattr(sequences, "abs2", None)
+        again = VerblunskySequence(seq)
+        assert again == seq and np.shares_memory(again.values, seq.values)
+        assert not again.values.flags.writeable
+
+    def test_log_tails_reads_a_sequence_as_its_values(self):
+        seq = random_seq(random.Random(29), 60)
+        for m in (1, 2, 5):
+            assert log_tails(seq, m).tobytes() == log_tails(seq.values, m).tobytes()
 
 
 class TestForwardDifference:
