@@ -18,8 +18,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from . import absorption, measures, psd_quartic, sum_rule
 from .families import KINDS, FamilySpec
@@ -135,7 +133,7 @@ def cmd_gram(args) -> int:
     if args.action == "certify":
         ok = True
         for m in range(1, args.m_max + 1):
-            failure = psd_quartic.gram_sos_check(m, psd_quartic.gram_closed_form(m))
+            failure = psd_quartic.gram_sos_check(psd_quartic.gram_closed_form(m))
             status = "certified" if failure is None else f"FAILED ({failure})"
             print(f"m={m:2d} dim={math.comb(m + 1, 2):3d} {status}")
             ok = ok and failure is None
@@ -214,11 +212,10 @@ def cmd_measure(args) -> int:
         print(json.dumps({"m": args.m, "value": value, "grid": grid, "method": method}))
         return 0
     if args.action == "weight":
-        if spec.kind == "sampled":
-            w = np.asarray(spec.weights)
-        else:
+        if spec.kind == "bernstein_szego":
             w = measures.bernstein_szego_weight(spec.prefix, args.grid)
-        _emit(measures.MeasureSpec.sampled(w).to_json() + "\n", args.out)
+            spec = measures.MeasureSpec.sampled(w)
+        _emit(spec.to_json() + "\n", args.out)
         return 0
     if args.action == "moments":
         mom = measures.trig_moments(spec, args.kmax, args.grid)

@@ -46,28 +46,32 @@ class WeightPositivityError(ValueError):
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """Absolutely continuous circle measure, by prefix or by weight samples."""
+    """Absolutely continuous circle measure, by prefix or by weight samples.
+
+    Checked when built, from its fields or by a classmethod alike.
+    """
 
     kind: str  # "bernstein_szego" | "sampled"
     prefix: VerblunskySequence | None = None
     weights: tuple = ()
 
-    @classmethod
-    def bernstein_szego(cls, prefix) -> "MeasureSpec":
-        prefix = VerblunskySequence(prefix)
-        return cls(kind="bernstein_szego", prefix=prefix)
-
-    @classmethod
-    def sampled(cls, weights) -> "MeasureSpec":
+    def __post_init__(self):
+        if self.kind == "bernstein_szego":
+            object.__setattr__(self, "prefix", VerblunskySequence(self.prefix))
+            return
+        if self.kind != "sampled":
+            raise ValueError(
+                f"measure kind must be 'bernstein_szego' or 'sampled', got {self.kind!r}"
+            )
         try:
-            arr = np.asarray(weights)
+            arr = np.asarray(self.weights)
         except ValueError:  # a ragged nesting; float() below names the entry
             arr = None
         # only a flat array of bools, ints or reals converts in numpy; complex,
         # string, object and nested input goes through float(), which accepts
         # and refuses it as it always has (numpy would drop an imaginary part)
         if arr is None or arr.ndim != 1 or arr.dtype.kind not in "biuf":
-            arr = np.array([float(x) for x in weights], dtype=np.float64)
+            arr = np.array([float(x) for x in self.weights], dtype=np.float64)
         arr = arr.astype(np.float64, copy=False)
         w = tuple(arr.tolist())
         if not w:
@@ -79,7 +83,15 @@ class MeasureSpec:
         # a finite sum bounds every FFT output of trig_moments
         if not math.isfinite(sum(w)):
             raise ValueError("sampled weights must have a finite sum")
-        return cls(kind="sampled", weights=w)
+        object.__setattr__(self, "weights", w)
+
+    @classmethod
+    def bernstein_szego(cls, prefix) -> "MeasureSpec":
+        return cls(kind="bernstein_szego", prefix=prefix)
+
+    @classmethod
+    def sampled(cls, weights) -> "MeasureSpec":
+        return cls(kind="sampled", weights=weights)
 
     def to_json(self) -> str:
         if self.kind == "bernstein_szego":
@@ -108,7 +120,7 @@ class MeasureSpec:
             if "grid" in obj and obj["grid"] != len(w):
                 raise ValueError("sampled grid field disagrees with weight count")
             return cls.sampled(w)
-        raise ValueError(f"measure kind must be 'bernstein_szego' or 'sampled', got {kind!r}")
+        return cls(kind=kind)  # refused, naming the kind
 
 
 def hm_closed_form(m: int, ell: int) -> Fraction:
@@ -219,10 +231,7 @@ def szego_functional(
     if measure.kind == "bernstein_szego":
         log_inv_w = -_log_weight(measure.prefix, grid_size)
     else:
-        w = np.asarray(measure.weights, dtype=np.float64)
-        if np.any(w <= 0.0):
-            raise WeightPositivityError("nonpositive weight sample")
-        log_inv_w = -np.log(w)
+        log_inv_w = -np.log(np.asarray(measure.weights, dtype=np.float64))
     weight_factor = (1.0 - np.cos(theta_grid(len(log_inv_w)))) ** m
     return float(np.mean(weight_factor * log_inv_w))
 

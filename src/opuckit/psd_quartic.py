@@ -54,21 +54,13 @@ class GramBlock:
     entries: tuple  # tuple of tuples of Fraction
 
     def __post_init__(self):
-        n = len(self.entries)
+        # rows of tuples, so the caller's lists cannot change the block later
+        rows = tuple(map(tuple, self.entries))
+        object.__setattr__(self, "entries", rows)
         expected = math.comb(self.m + 1, 2)
-        if n != expected:
-            raise ValueError(f"dimension {n} != C(m+1, 2) = {expected}")
-        if any(len(row) != n for row in self.entries):
-            raise ValueError("entries must be square")
-        # row i against column i; one object per symmetric pair compares by identity
-        for i, (row, col) in enumerate(zip(self.entries, zip(*self.entries))):
-            if tuple(row) != col:
-                j = next(j for j, (x, y) in enumerate(zip(row, col)) if x != y)
-                raise ValueError(f"asymmetric at ({i},{j})")
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
+        if len(rows) != expected:
+            raise ValueError(f"dimension {len(rows)} != C(m+1, 2) = {expected}")
+        _check_symmetric(rows)
 
     def to_json(self) -> str:
         import json
@@ -81,6 +73,18 @@ class GramBlock:
                 "entries": [[str(c) for c in row] for row in self.entries],
             }
         )
+
+
+def _check_symmetric(rows: tuple) -> None:
+    """Refuse tuple rows that are not square and symmetric, naming the first pair row-major."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("entries must be square")
+    # row i against column i; one object per symmetric pair compares by identity
+    for i, (row, col) in enumerate(zip(rows, zip(*rows))):
+        if row != col:
+            j = next(j for j, (x, y) in enumerate(zip(row, col)) if x != y)
+            raise ValueError(f"asymmetric at ({i},{j})")
 
 
 def gram_closed_form(m: int) -> GramBlock:
@@ -214,8 +218,8 @@ def gram_identity_check(m: int) -> bool:
     )
 
 
-def gram_sos_check(m: int, block: GramBlock) -> str | None:
-    """Prove block = pref B^T D B exactly, a sum of C(m+1, 2) squares.
+def gram_sos_check(block: GramBlock) -> str | None:
+    """Prove block = pref B^T D B exactly, a sum of C(m+1, 2) squares, m = block.m.
 
     The Gram matrix is the moment matrix of the polynomials
     c_alpha(lam, mu) = multinom(alpha) (-mu)^{a1} (lam-1)^{a2} (lam-mu)^{a3}
@@ -233,9 +237,8 @@ def gram_sos_check(m: int, block: GramBlock) -> str | None:
     sum g B_alpha B_beta m(2m-1) den = num C(2m, m) Q E^4.
     Returns None when all agree, else the first entry that differs.
     """
+    m = block.m
     idx = multi_indices(m)
-    if block.dim != len(idx):
-        raise ValueError(f"block dimension {block.dim} != C(m+1, 2) = {len(idx)}")
     n = m - 1
     f = math.factorial
     # E x^p = sum_i legendre[p][i] P_i(x)
@@ -310,17 +313,11 @@ def psd_certificate(block) -> PsdCertificate:
     and each LDL^T pivot is Fraction(bareiss pivot, prev * den).
     """
     if isinstance(block, GramBlock):
-        mat = block.entries
+        mat = block.entries  # checked when the block was built
     else:
-        mat = [[Fraction(c) for c in row] for row in block]
+        mat = tuple(tuple(Fraction(c) for c in row) for row in block)
+        _check_symmetric(mat)
     n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("matrix must be square")
-    for i in range(n):
-        for j in range(n):
-            if mat[i][j] != mat[j][i]:
-                raise ValueError(f"matrix is not symmetric at ({i},{j})")
-
     den = math.lcm(*(c.denominator for row in mat for c in row))
     # the upper triangle only: work[i][j - i] holds entry (i, j), j >= i
     work = [

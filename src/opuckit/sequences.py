@@ -136,16 +136,13 @@ def lukic_partial_sums(seq, m: int, N: int) -> EnergyReport:
     return EnergyReport(diff_energy=diff_energy, power_energy=power_energy)
 
 
-def lp_norm(values, p: float, N: int | None = None) -> float:
-    """(sum_{n=0}^{N} |v_n|^p)^(1/p); p must be >= 1."""
+def lp_norm(values, p: float) -> float:
+    """(sum_n |v_n|^p)^(1/p) over every entry of values; p must be >= 1."""
     if p < 1:
         raise ValueError(f"p = {p} < 1 is not a norm exponent")
-    if N is None:
-        N = len(values) - 1
-    arr = zero_extended(values, 0, max(N + 1, 0))
     # float_power calls the libm pow behind Python's **, and a cumsum adds in
     # index order, so the sum is the one a scalar loop makes
-    powers = np.float_power(abs2(arr), p / 2.0)
+    powers = np.float_power(abs2(np.asarray(values, dtype=np.complex128)), p / 2.0)
     total = float(np.cumsum(powers)[-1]) if powers.size else 0.0
     return total ** (1.0 / p)
 

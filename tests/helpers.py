@@ -423,18 +423,13 @@ def szego_recursion_polynomials(prefix, z: complex) -> tuple[complex, complex]:
     return phi, phistar
 
 
-def lp_norm_loop(values, p: float, N: int | None = None) -> float:
-    """(sum_{n=0}^{N} |v_n|^p)^(1/p) as a scalar loop, (re*re + im*im) ** (p/2) each.
+def lp_norm_loop(values, p: float) -> float:
+    """(sum_n |v_n|^p)^(1/p) as a scalar loop, (re*re + im*im) ** (p/2) each.
 
     The oracle of lp_norm, which must return the same float.
     """
-    if isinstance(values, VerblunskySequence):
-        values = values.values
-    if N is None:
-        N = len(values) - 1
     total = 0.0
-    for n in range(N + 1):
-        v = complex(entry(values, n))
+    for v in map(complex, values):
         total += (v.real * v.real + v.imag * v.imag) ** (p / 2)
     return total ** (1.0 / p)
 

@@ -76,8 +76,8 @@ def test_criterion_03_closed_form_vs_quadrature():
     for m in range(1, 9):
         exact = gram_closed_form(m)
         numeric = gram_quadrature(m)
-        for i in range(exact.dim):
-            for j in range(exact.dim):
+        for i in range(len(exact.entries)):
+            for j in range(len(exact.entries)):
                 worst = max(worst, abs(float(exact.entries[i][j]) - numeric[i][j]))
     report(3, f"closed form vs integral oracle, max dev {worst:.2e} <= 1e-10", worst <= 1e-10)
 

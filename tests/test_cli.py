@@ -900,7 +900,7 @@ def test_gram_order_at_its_bound_runs(monkeypatch, action, flag):
         return True
 
     monkeypatch.setattr(psd_quartic, "gram_closed_form", closed_form)
-    monkeypatch.setattr(psd_quartic, "gram_sos_check", lambda m, block: None)
+    monkeypatch.setattr(psd_quartic, "gram_sos_check", lambda block: None)
     monkeypatch.setattr(psd_quartic, "gram_identity_check", identity_check)
     bound = GRAM_MAX_ORDER[action]
     code, _, err = run_cli(["gram", action, flag, str(bound)])

@@ -4,8 +4,9 @@ benchmark.  A definition that only the tests read is a test oracle and lives
 in tests/helpers.py.
 
 No linter runs on the package, so an import or a definition stranded by a
-refactor would otherwise stay.  `__init__` is exempt: its imports are the
-public names, and they count as no read.
+refactor would otherwise stay.  `__init__` is checked like every module, so
+a re-export of a name that it does not read itself is refused: every name
+has one import path, its module.
 """
 
 import ast
@@ -15,7 +16,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "opuckit"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 

@@ -314,3 +314,20 @@ class TestMeasureSpecJson:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             MeasureSpec.from_json('{"kind": "mystery"}')
+
+
+class TestDirectConstruction:
+    # a spec built from its fields is checked as the classmethods check it
+
+    def test_bad_weight_is_refused(self):
+        with pytest.raises(WeightPositivityError, match="strictly positive"):
+            MeasureSpec(kind="sampled", weights=(1.0, -1.0))
+
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError, match="^measure kind must be .* got 'mystery'$"):
+            MeasureSpec(kind="mystery")
+
+    def test_list_prefix_is_held_as_a_sequence(self):
+        spec = MeasureSpec(kind="bernstein_szego", prefix=[0.5])
+        assert spec.prefix == VerblunskySequence([0.5])
+        assert spec == MeasureSpec.bernstein_szego([0.5])
