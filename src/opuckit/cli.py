@@ -214,7 +214,7 @@ def cmd_measure(args) -> int:
     if args.action == "weight":
         if spec.kind == "bernstein_szego":
             w = measures.bernstein_szego_weight(spec.prefix, args.grid)
-            spec = measures.MeasureSpec.sampled(w)
+            spec = measures.MeasureSpec(kind="sampled", weights=w)
         _emit(spec.to_json() + "\n", args.out)
         return 0
     if args.action == "moments":

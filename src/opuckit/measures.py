@@ -48,7 +48,8 @@ class WeightPositivityError(ValueError):
 class MeasureSpec:
     """Absolutely continuous circle measure, by prefix or by weight samples.
 
-    Checked when built, from its fields or by a classmethod alike.
+    Checked when built, from its fields or by bernstein_szego alike; a field
+    of the other kind is refused.
     """
 
     kind: str  # "bernstein_szego" | "sampled"
@@ -57,12 +58,16 @@ class MeasureSpec:
 
     def __post_init__(self):
         if self.kind == "bernstein_szego":
+            if not isinstance(self.weights, tuple) or self.weights:
+                raise ValueError("a bernstein_szego measure takes no weights")
             object.__setattr__(self, "prefix", VerblunskySequence(self.prefix))
             return
         if self.kind != "sampled":
             raise ValueError(
                 f"measure kind must be 'bernstein_szego' or 'sampled', got {self.kind!r}"
             )
+        if self.prefix is not None:
+            raise ValueError("a sampled measure takes no prefix")
         try:
             arr = np.asarray(self.weights)
         except ValueError:  # a ragged nesting; float() below names the entry
@@ -88,10 +93,6 @@ class MeasureSpec:
     @classmethod
     def bernstein_szego(cls, prefix) -> "MeasureSpec":
         return cls(kind="bernstein_szego", prefix=prefix)
-
-    @classmethod
-    def sampled(cls, weights) -> "MeasureSpec":
-        return cls(kind="sampled", weights=weights)
 
     def to_json(self) -> str:
         if self.kind == "bernstein_szego":
@@ -119,7 +120,7 @@ class MeasureSpec:
                 raise ValueError("weights must be a list of numbers")
             if "grid" in obj and obj["grid"] != len(w):
                 raise ValueError("sampled grid field disagrees with weight count")
-            return cls.sampled(w)
+            return cls(kind="sampled", weights=w)
         return cls(kind=kind)  # refused, naming the kind
 
 

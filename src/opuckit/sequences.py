@@ -137,12 +137,12 @@ def lukic_partial_sums(seq, m: int, N: int) -> EnergyReport:
 
 
 def lp_norm(values, p: float) -> float:
-    """(sum_n |v_n|^p)^(1/p) over every entry of values; p must be >= 1."""
+    """(sum_n |v_n|^p)^(1/p) over every entry of values, a sequence or array; p must be >= 1."""
     if p < 1:
         raise ValueError(f"p = {p} < 1 is not a norm exponent")
     # float_power calls the libm pow behind Python's **, and a cumsum adds in
     # index order, so the sum is the one a scalar loop makes
-    powers = np.float_power(abs2(np.asarray(values, dtype=np.complex128)), p / 2.0)
+    powers = np.float_power(abs2(zero_extended(values, 0, len(values))), p / 2.0)
     total = float(np.cumsum(powers)[-1]) if powers.size else 0.0
     return total ** (1.0 / p)
 

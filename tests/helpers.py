@@ -428,6 +428,8 @@ def lp_norm_loop(values, p: float) -> float:
 
     The oracle of lp_norm, which must return the same float.
     """
+    if isinstance(values, VerblunskySequence):
+        values = values.values
     total = 0.0
     for v in map(complex, values):
         total += (v.real * v.real + v.imag * v.imag) ** (p / 2)

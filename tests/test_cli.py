@@ -444,7 +444,7 @@ class TestCliCommands:
 
     def test_measure_functional_sampled_is_trapezoid(self, tmp_path, capsys):
         spec = tmp_path / "measure.json"
-        spec.write_text(MeasureSpec.sampled([2.0] * 16).to_json())
+        spec.write_text(MeasureSpec(kind="sampled", weights=[2.0] * 16).to_json())
         assert main(["measure", "functional", "--measure-json", str(spec), "--m", "0"]) == 0
         val = json.loads(capsys.readouterr().out)
         assert val["method"] == "trapezoid" and val["grid"] == 16

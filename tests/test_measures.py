@@ -221,7 +221,7 @@ class TestFunctional:
     def test_sampled_kind(self):
         G = 512
         w = 1.0 + 0.5 * np.cos(theta_grid(G))
-        val = szego_functional(MeasureSpec.sampled(w), 1, G)
+        val = szego_functional(MeasureSpec(kind="sampled", weights=w), 1, G)
         # oracle: direct mean on the same grid
         direct = float(np.mean((1 - np.cos(theta_grid(G))) * np.log(1 / w)))
         assert val == pytest.approx(direct, abs=1e-15)
@@ -232,11 +232,11 @@ class TestFunctional:
         G = 256
         w = 0.2 + 0.5 * (1 + np.cos(theta_grid(G))) / 2
         for m in (0, 1, 3):
-            assert szego_functional(MeasureSpec.sampled(w), m, G) >= 0.0
+            assert szego_functional(MeasureSpec(kind="sampled", weights=w), m, G) >= 0.0
 
     def test_sampled_rejects_nonpositive(self):
         with pytest.raises(WeightPositivityError):
-            MeasureSpec.sampled([1.0, 0.0, 1.0])
+            MeasureSpec(kind="sampled", weights=[1.0, 0.0, 1.0])
 
     @pytest.mark.parametrize(
         "weights, fault",
@@ -245,7 +245,7 @@ class TestFunctional:
     )
     def test_sampled_rejects_what_is_not_a_measure(self, weights, fault):
         with pytest.raises(ValueError, match=fault):
-            MeasureSpec.sampled(weights)
+            MeasureSpec(kind="sampled", weights=weights)
 
     @pytest.mark.parametrize(
         "weights, error, message",
@@ -266,7 +266,7 @@ class TestFunctional:
     def test_sampled_refuses_with_the_float_conversion_messages(self, weights, error, message):
         # the same types and messages as converting each entry with float()
         with pytest.raises(error) as info:
-            MeasureSpec.sampled(weights)
+            MeasureSpec(kind="sampled", weights=weights)
         assert type(info.value) is error and str(info.value) == message
 
     @pytest.mark.parametrize(
@@ -277,7 +277,7 @@ class TestFunctional:
         ids=["float64", "float32", "int-array", "python-ints", "bool", "str"],
     )
     def test_sampled_weights_are_the_float_of_each_entry(self, weights):
-        spec = MeasureSpec.sampled(weights)
+        spec = MeasureSpec(kind="sampled", weights=weights)
         assert spec.weights == tuple(float(x) for x in weights)
         assert all(type(x) is float for x in spec.weights)
 
@@ -306,7 +306,7 @@ class TestMeasureSpecJson:
         assert obj == {"kind": "bernstein_szego", "alphas": [[0.1, 0.2], [-0.3, 0.0]]}
 
     def test_sampled_round_trip(self):
-        spec = MeasureSpec.sampled([1.0, 2.0, 0.5, 0.5])
+        spec = MeasureSpec(kind="sampled", weights=[1.0, 2.0, 0.5, 0.5])
         again = MeasureSpec.from_json(spec.to_json())
         assert again.weights == spec.weights
         assert json.loads(spec.to_json())["grid"] == 4
@@ -317,7 +317,7 @@ class TestMeasureSpecJson:
 
 
 class TestDirectConstruction:
-    # a spec built from its fields is checked as the classmethods check it
+    # a spec built from its fields is checked as bernstein_szego and from_json check it
 
     def test_bad_weight_is_refused(self):
         with pytest.raises(WeightPositivityError, match="strictly positive"):
@@ -331,3 +331,10 @@ class TestDirectConstruction:
         spec = MeasureSpec(kind="bernstein_szego", prefix=[0.5])
         assert spec.prefix == VerblunskySequence([0.5])
         assert spec == MeasureSpec.bernstein_szego([0.5])
+
+    def test_a_field_of_the_other_kind_is_refused(self):
+        with pytest.raises(ValueError, match="^a sampled measure takes no prefix$"):
+            MeasureSpec(kind="sampled", weights=(1.0,) * 16, prefix=[2.0])
+        for weights in [("x",), [1.0], []]:
+            with pytest.raises(ValueError, match="^a bernstein_szego measure takes no weights$"):
+                MeasureSpec(kind="bernstein_szego", prefix=[0.5], weights=weights)

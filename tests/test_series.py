@@ -253,6 +253,6 @@ class TestCmvMoments:
         # moments are exact to rounding; complex prefixes pin conj(<d_0, C^k d_0>)
         # against <d_0, C^k d_0>, which misses by far more than the bound.
         got = trig_moments(MeasureSpec.bernstein_szego(prefix), kmax)
-        sampled = MeasureSpec.sampled(bernstein_szego_weight(prefix, 4096))
+        sampled = MeasureSpec(kind="sampled", weights=bernstein_szego_weight(prefix, 4096))
         want = trig_moments(sampled, kmax)
         assert np.max(np.abs(got - want)) <= 1e-12
