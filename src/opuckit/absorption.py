@@ -37,7 +37,12 @@ def critical_orders(m: int, k: int) -> list[int]:
     """The critical count m+1-k of differences spread round-robin over 2k slots.
 
     Slots 0..k-1 are the holomorphic factors, k..2k-1 the antiholomorphic
-    ones; earlier slots take the remainder first.
+    ones; earlier slots take the remainder first.  The count m+1-k is the
+    paper's exponent read as single differences, each slot's order the
+    number of Delta's on that factor.  On Z, Holder bounds such a monomial
+    by the diff + power energy only with 2(m+1-k) differences: with m+1-k
+    its sum grows without bound on slow plane waves, as
+    tests/test_absorption.py::TestPlaneWaves pins.
     """
     if not 2 <= k <= m:
         raise ValueError(f"need 2 <= k <= m, got k={k}, m={m}")

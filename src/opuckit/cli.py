@@ -28,7 +28,7 @@ from .suites import run_suites
 VERSION_HEADER = f"# opuckit {__version__}"
 
 # The largest order each gram action accepts; a larger one exits 2 at once.
-# On a 2-core Xeon, `certify --m-max 28` takes 37 s (`--m-max 20` 4.4 s) and
+# On a 2-core Xeon, `certify --m-max 28` takes 13 s (`--m-max 20` 1.6 s) and
 # grows about as m^6; `identity --m-max 48` takes 119 s and `export --m 48`
 # 8 s with 107 MB of JSON, and both grow polynomially.
 GRAM_MAX_ORDER = {"certify": 28, "identity": 48, "export": 48}

@@ -98,14 +98,22 @@ def gram_closed_form(m: int) -> GramBlock:
 
     The sum depends on alpha, beta only through (A, B, C), so it is summed
     once per index sum, in integers over L^2 with L = lcm(1..2m-1): both
-    denominator factors are at most 2m-1.  Only the upper triangle is
-    computed; the lower one is its mirror.
+    denominator factors are at most 2m-1.  The inner sum over p is
+    inner[B][q] = L sum_p (-1)^p C(B,p)/(p+q+1), the B-th forward difference
+    of L/(q+1) up to the sign (-1)^B, so one integer difference table per m
+    holds it for every B and q, and each index sum costs one pass over q.
+    Only the upper triangle is computed; the lower one is its mirror.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     idx = multi_indices(m)
     L = math.lcm(*range(1, 2 * m))
     den = math.comb(2 * m, m) * L * L
+    # inner[b][q] for b + q <= 2m-2: row b+1 is the difference of row b
+    inner = [[L // (q + 1) for q in range(2 * m - 1)]]
+    for _ in range(2 * m - 2):
+        row = inner[-1]
+        inner.append([x - y for x, y in zip(row, row[1:])])
     weight = [multinomial(m - 1, a) for a in idx]
     sums = {}
     dim = len(idx)
@@ -114,25 +122,15 @@ def gram_closed_form(m: int) -> GramBlock:
         scale = m * (2 * m - 1) * weight[i]
         for j in range(i, dim):
             b = idx[j]
-            key = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+            key = A, B, C = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
             acc = sums.get(key)
             if acc is None:
-                acc = sums[key] = _binomial_double_sum(*key, L)
+                acc = sums[key] = sum(
+                    (-1) ** q * math.comb(C, q) * (L // (A + C - q + 1)) * inner[B][q]
+                    for q in range(C + 1)
+                )
             rows[i][j] = rows[j][i] = Fraction(scale * weight[j] * acc, den)
     return GramBlock(m=m, entries=tuple(tuple(row) for row in rows))
-
-
-def _binomial_double_sum(A: int, B: int, C: int, L: int) -> int:
-    """L^2 times the double binomial sum of gram_closed_form, an integer."""
-    total = 0
-    for q in range(C + 1):
-        inner = 0
-        for p in range(B + 1):
-            term = math.comb(B, p) * (L // (p + q + 1))
-            inner += -term if p % 2 else term
-        term = math.comb(C, q) * (L // (A + C - q + 1)) * inner
-        total += -term if q % 2 else term
-    return total
 
 
 def pm_polynomial(m: int) -> dict:
@@ -230,14 +228,54 @@ def gram_sos_check(block: GramBlock) -> str | None:
     D = diag(1/((2i+1)(2j+1))), and x^T M x = pref sum D (Bx)^2 >= 0: the
     exact identity with positive weights proves M PSD.
 
-    B is built in integers from E x^p = sum_i E (2i+1) p!^2 / ((p-i)! (p+i+1)!)
-    P_i(x), E the lcm of the denominators, one factor E per variable, and
-    the weights are g = Q/((2i+1)(2j+1)) with Q their lcm.  Each entry
-    alpha <= beta of the block is compared as
+    `_sos_witness` builds B in integers and mirrors half its columns (see
+    there): B P_sigma = S B, with S a signed permutation of B's rows and
+    S^T D S = D.  So (pref B^T D B) is the same at (r, c) and at
+    (sigma r, sigma c), and its value is computed once per such orbit;
+    a pair that is its own mirror, (r, sigma r) or two indices with
+    a1 = a2, is computed alone.  Every entry alpha <= beta of the block is
+    still compared, in row-major order, as
     sum g B_alpha B_beta m(2m-1) den = num C(2m, m) Q E^4.
     Returns None when all agree, else the first entry that differs.
     """
-    m = block.m
+    idx = multi_indices(block.m)
+    position = {a: k for k, a in enumerate(idx)}
+    sigma = [position[a2, a1, a3] for a1, a2, a3 in idx]
+    columns, weights, scale = _sos_witness(block.m)
+    shared = {}  # value of a pair whose mirror came earlier in row-major order
+    for r, (row, col) in enumerate(zip(block.entries, columns)):
+        weighted = [g * b for g, b in zip(weights, col)]
+        for c in range(r, len(idx)):
+            value = shared.pop((r, c), None)
+            if value is None:
+                value = sum(map(mul, weighted, columns[c]))
+                mirror = tuple(sorted((sigma[r], sigma[c])))
+                if mirror != (r, c):
+                    shared[mirror] = value
+            x = row[c]
+            if value * x.denominator != x.numerator * scale:
+                return f"entry ({r},{c}) differs from pref*B^T*D*B"
+    return None
+
+
+def _sos_witness(m: int) -> tuple:
+    """(columns, weights, scale) of gram_sos_check: integer B, D and the scale of the comparison.
+
+    Column alpha of B lists c_alpha's coefficients at the products
+    P_i(lam) P_j(mu), i + j <= m-1, in the order i, then j.  It is built in
+    integers from E x^p = sum_i E (2i+1) p!^2 / ((p-i)! (p+i+1)!) P_i(x), E
+    the lcm of the denominators, one factor E per variable, and the weights
+    are g = Q/((2i+1)(2j+1)) m(2m-1) with Q their lcm; scale is
+    C(2m, m) Q E^4.
+
+    Only the columns with a1 >= a2 are built so.  The reflection
+    sigma: (lam, mu) -> (1-mu, 1-lam) of the unit square maps -mu to lam-1,
+    lam-1 to -mu and lam-mu to itself, so c_alpha o sigma = c_alpha' with
+    alpha' = (a2, a1, a3); and P_i(1-x) = (-1)^i P_i(x), so the coefficient
+    of c_alpha' at (j, i) is (-1)^{i+j} times that of c_alpha at (i, j).
+    Each column with a1 < a2 is that signed permutation S of its mirror's
+    column.  S^T D S = D, because g is symmetric in (i, j).
+    """
     idx = multi_indices(m)
     n = m - 1
     f = math.factorial
@@ -251,8 +289,16 @@ def gram_sos_check(block: GramBlock) -> str | None:
     squares = [(i, j) for i in range(m) for j in range(m - i)]
     Q = math.lcm(*((2 * i + 1) * (2 * j + 1) for i, j in squares))
     weights = [Q // ((2 * i + 1) * (2 * j + 1)) * m * (2 * m - 1) for i, j in squares]
+    # S: entry (i, j) of a mirrored column is (-1)^{i+j} entry (j, i) of its mirror
+    position = {sq: k for k, sq in enumerate(squares)}
+    swap = [(position[j, i], (i + j) % 2) for i, j in squares]
+    built = {}
     columns = []
     for a1, a2, a3 in idx:
+        if a1 < a2:
+            col = built[a2, a1, a3]
+            columns.append([-col[k] if odd else col[k] for k, odd in swap])
+            continue
         # c_alpha = sum power[p][q] lam^p mu^q, p + q <= m-1
         power = [[0] * (n + 1) for _ in range(n + 1)]
         w = multinomial(n, (a1, a2, a3))
@@ -271,17 +317,10 @@ def gram_sos_check(block: GramBlock) -> str | None:
             ]
             for i in range(m)
         ]
-        columns.append(
-            [sum(legendre[q][j] * half[i][q] for q in range(j, n + 1 - i)) for i, j in squares]
-        )
-    scale = math.comb(2 * m, m) * Q * E**4
-    for r, (row, col) in enumerate(zip(block.entries, columns)):
-        weighted = [g * b for g, b in zip(weights, col)]
-        for c in range(r, len(idx)):
-            x = row[c]
-            if sum(map(mul, weighted, columns[c])) * x.denominator != x.numerator * scale:
-                return f"entry ({r},{c}) differs from pref*B^T*D*B"
-    return None
+        col = [sum(legendre[q][j] * half[i][q] for q in range(j, n + 1 - i)) for i, j in squares]
+        built[a1, a2, a3] = col
+        columns.append(col)
+    return columns, weights, math.comb(2 * m, m) * Q * E**4
 
 
 @dataclass(frozen=True)

@@ -211,6 +211,62 @@ def bumped_block(m: int) -> GramBlock:
     return GramBlock(m=m, entries=tuple(tuple(row) for row in rows))
 
 
+def sos_witness_direct(m: int) -> tuple:
+    """psd_quartic._sos_witness with every column of B built from c_alpha, none mirrored.
+
+    Column alpha lists the coefficients of
+    c_alpha(lam, mu) = multinom(alpha) (-mu)^{a1} (lam-1)^{a2} (lam-mu)^{a3}
+    at P_i(lam) P_j(mu), i + j <= m-1, in the order i, then j, scaled by E^2
+    with E x^p = sum_i E (2i+1) p!^2 / ((p-i)! (p+i+1)!) P_i(x).  Returns
+    (columns, weights, scale) as that function does.
+    """
+    n = m - 1
+    f = math.factorial
+    frac = [
+        [Fraction((2 * i + 1) * f(p) ** 2, f(p - i) * f(p + i + 1)) for i in range(p + 1)]
+        for p in range(m)
+    ]
+    E = math.lcm(*(c.denominator for row in frac for c in row))
+    legendre = [[c.numerator * (E // c.denominator) for c in row] for row in frac]
+    squares = [(i, j) for i in range(m) for j in range(m - i)]
+    Q = math.lcm(*((2 * i + 1) * (2 * j + 1) for i, j in squares))
+    weights = [Q // ((2 * i + 1) * (2 * j + 1)) * m * (2 * m - 1) for i, j in squares]
+    columns = []
+    for a1, a2, a3 in multi_indices(m):
+        # c_alpha = sum power[p][q] lam^p mu^q, p + q <= m-1
+        power = [[0] * (n + 1) for _ in range(n + 1)]
+        w = multinomial(n, (a1, a2, a3))
+        for k in range(a2 + 1):
+            ck = w * math.comb(a2, k) * (-1) ** (a2 - k)
+            for l in range(a3 + 1):
+                q = a1 + a3 - l
+                power[k + l][q] += ck * math.comb(a3, l) * (-1) ** q
+        half = [
+            [sum(legendre[p][i] * power[p][q] for p in range(i, n + 1 - q)) for q in range(n + 1 - i)]
+            for i in range(m)
+        ]
+        columns.append(
+            [sum(legendre[q][j] * half[i][q] for q in range(j, n + 1 - i)) for i, j in squares]
+        )
+    return columns, weights, math.comb(2 * m, m) * Q * E**4
+
+
+def gram_sos_check_entrywise(block: GramBlock) -> str | None:
+    """gram_sos_check with one dot product per upper-triangle entry, over sos_witness_direct.
+
+    Compares each entry (r, c), r <= c, in row-major order with
+    pref B^T D B, cross-multiplied in integers.
+    """
+    columns, weights, scale = sos_witness_direct(block.m)
+    for r, (row, col) in enumerate(zip(block.entries, columns)):
+        for c in range(r, len(row)):
+            x = row[c]
+            dot = sum(g * y * z for g, y, z in zip(weights, col, columns[c]))
+            if dot * x.denominator != x.numerator * scale:
+                return f"entry ({r},{c}) differs from pref*B^T*D*B"
+    return None
+
+
 @dataclass(frozen=True)
 class RawQuarticExhibit:
     """The documented 2x2 obstruction matrix for the raw quartic representative at m = 2."""

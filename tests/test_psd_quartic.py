@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from opuckit.psd_quartic import (
     GramBlock,
     PsdCertificate,
+    _sos_witness,
     gram_closed_form,
     gram_identity_check,
     gram_sos_check,
@@ -23,7 +24,13 @@ from opuckit.psd_quartic import (
 )
 from opuckit.shift_algebra import ShiftPolynomial
 
-from helpers import bumped_block, gram_quadrature, raw_m2_failure_exhibit
+from helpers import (
+    bumped_block,
+    gram_quadrature,
+    gram_sos_check_entrywise,
+    raw_m2_failure_exhibit,
+    sos_witness_direct,
+)
 
 
 def pm_integral_oracle(m, u, v, t, nodes=None):
@@ -382,6 +389,91 @@ class TestGramSos:
         doubled = GramBlock(m=4, entries=tuple(tuple(2 * c for c in row) for row in block.entries))
         assert psd_certificate(doubled).certified
         assert gram_sos_check(doubled) == "entry (0,0) differs from pref*B^T*D*B"
+
+
+def mirror_index(m):
+    """sigma on the multi-indices: the position of (a2, a1, a3) for each (a1, a2, a3)."""
+    idx = multi_indices(m)
+    return [idx.index((a2, a1, a3)) for a1, a2, a3 in idx]
+
+
+def perturbed(m, cells, delta):
+    """gram_closed_form(m) with delta added at each cell (r, c) and at (c, r) once."""
+    rows = [list(row) for row in gram_closed_form(m).entries]
+    for r, c in {tuple(sorted(cell)) for cell in cells}:
+        rows[r][c] += delta
+        if r != c:
+            rows[c][r] += delta
+    return GramBlock(m=m, entries=rows)
+
+
+def assert_same_failure(block):
+    expected = gram_sos_check_entrywise(block)
+    assert expected is not None
+    assert gram_sos_check(block) == expected
+
+
+DELTAS = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 9))
+FAILURE_PROFILE = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+
+class TestSosMirror:
+    """The mirrored witness against the direct build, and the orbit-shared
+    check against the entry-by-entry one."""
+
+    def test_mirrored_columns_equal_the_direct_build(self):
+        for m in range(1, 13):
+            columns, weights, scale = _sos_witness(m)
+            direct = sos_witness_direct(m)
+            assert (columns, weights, scale) == direct
+            # B P_sigma = S B on the direct build: (j, i) of the mirror is (-1)^{i+j} (i, j)
+            squares = [(i, j) for i in range(m) for j in range(m - i)]
+            for col, mirrored in zip(direct[0], (direct[0][s] for s in mirror_index(m))):
+                signed = {(j, i): (-1) ** (i + j) * b for (i, j), b in zip(squares, col)}
+                assert mirrored == [signed[sq] for sq in squares]
+            # S^T D S = D
+            g = dict(zip(squares, weights))
+            assert all(g[i, j] == g[j, i] for i, j in squares)
+
+    @FAILURE_PROFILE
+    @given(data=st.data(), m=st.integers(2, 9), delta=DELTAS)
+    def test_one_symmetric_pair(self, data, m, delta):
+        dim = math.comb(m + 1, 2)
+        r = data.draw(st.integers(0, dim - 2))
+        c = data.draw(st.integers(r + 1, dim - 1))
+        assert_same_failure(perturbed(m, [(r, c)], delta))
+
+    @FAILURE_PROFILE
+    @given(data=st.data(), m=st.integers(2, 9), delta=DELTAS)
+    def test_a_pair_and_its_mirror_alike(self, data, m, delta):
+        sigma = mirror_index(m)
+        dim = len(sigma)
+        pairs = [
+            (r, c) for r in range(dim) for c in range(r + 1, dim)
+            if tuple(sorted((sigma[r], sigma[c]))) != (r, c)
+        ]
+        r, c = data.draw(st.sampled_from(pairs))
+        block = perturbed(m, [(r, c), (sigma[r], sigma[c])], delta)
+        # sigma-invariant, but not the moment matrix
+        assert all(
+            block.entries[sigma[i]][sigma[j]] == block.entries[i][j]
+            for i in range(dim) for j in range(dim)
+        )
+        assert_same_failure(block)
+
+    @FAILURE_PROFILE
+    @given(data=st.data(), m=st.integers(1, 9), delta=DELTAS)
+    def test_an_entry_in_a_row_with_a1_equal_to_a2(self, data, m, delta):
+        sigma = mirror_index(m)
+        r = data.draw(st.sampled_from([i for i, s in enumerate(sigma) if s == i]))
+        c = data.draw(st.integers(r, len(sigma) - 1))
+        assert_same_failure(perturbed(m, [(r, c)], delta))
+
+    @FAILURE_PROFILE
+    @given(data=st.data(), m=st.integers(1, 9), delta=DELTAS)
+    def test_a_diagonal_entry(self, data, m, delta):
+        r = data.draw(st.integers(0, math.comb(m + 1, 2) - 1))
+        assert_same_failure(perturbed(m, [(r, r)], delta))
 
 
 CERTIFICATE_CASES = [
